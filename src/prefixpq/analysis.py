@@ -25,11 +25,15 @@ comparison meaningful even at deep levels where every trial observes zero.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .ptrie import Layer, LeafNode, PTrie, PTrieConfig
+
+
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 def _check_common(n: int, degree: int, level: int) -> None:
@@ -46,7 +50,10 @@ def prob_exact_occupancy(n: int, degree: int, level: int, count: int) -> float:
 
     Probability that a fixed length-``level`` prefix class receives exactly
     ``count`` of ``n`` uniform keys.  Sums to 1 over ``count`` = 0..n; at
-    level 0 it degenerates to the indicator of ``count == n``.
+    level 0 it degenerates to the indicator of ``count == n``.  When
+    C(n, g) is too large for a float the product is taken in log space
+    (``lgamma``/``log1p``) instead, which is also what keeps n around 1e5
+    from computing huge exact binomials.
     """
     _check_common(n, degree, level)
     if count < 0 or count > n:
@@ -54,7 +61,15 @@ def prob_exact_occupancy(n: int, degree: int, level: int, count: int) -> float:
     if level == 0:
         return 1.0 if count == n else 0.0
     r = float(degree) ** (-level)
-    return math.comb(n, count) * r**count * (1.0 - r) ** (n - count)
+    log_comb = math.lgamma(n + 1) - math.lgamma(count + 1) - math.lgamma(n - count + 1)
+    # C(n, count) past the float range makes the direct product raise; the
+    # margin keeps every coefficient that fits on the direct path
+    if log_comb < _LOG_FLOAT_MAX + 1.0:
+        try:
+            return math.comb(n, count) * r**count * (1.0 - r) ** (n - count)
+        except OverflowError:
+            pass
+    return math.exp(log_comb + count * math.log(r) + (n - count) * math.log1p(-r))
 
 
 def expected_layers_at_level(n: int, degree: int, level: int) -> float:

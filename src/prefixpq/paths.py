@@ -96,23 +96,31 @@ def _run(
     dist = tree.dist
     hops = tree.hops
     step = 0
-    while queue.count:
-        if events is not None:
-            snapshot = tuple(entry for _, entry in queue)
-        _, entry = queue.delete_min()
-        head = entry.head
-        rejected = head in back
-        if not rejected:
-            back[head] = (entry.tail, entry.weight)
-            dist[head] = entry.path_weight
-            hops[head] = hops[entry.tail] + 1
-            base = entry.path_weight
-            for arc in g.arcs_from(head):
-                pw = base + arc.weight
-                queue.insert(pw, QueueEntry(arc.weight, pw, head, arc.head))
-        step += 1
-        if events is not None:
-            events.append(TraceEvent(step, entry, rejected, snapshot))
+    try:
+        while queue.count:
+            if events is not None:
+                snapshot = tuple(entry for _, entry in queue)
+            _, entry = queue.delete_min()
+            head = entry.head
+            rejected = head in back
+            if not rejected:
+                back[head] = (entry.tail, entry.weight)
+                dist[head] = entry.path_weight
+                hops[head] = hops[entry.tail] + 1
+                base = entry.path_weight
+                for arc in g.arcs_from(head):
+                    pw = base + arc.weight
+                    queue.insert(pw, QueueEntry(arc.weight, pw, head, arc.head))
+            step += 1
+            if events is not None:
+                events.append(TraceEvent(step, entry, rejected, snapshot))
+    except ValueError:
+        # only a relaxation's insert raises here: its path sum outgrew the
+        # key width, which no single arc weight check can rule out
+        m = queue.config.word_bits
+        raise GraphError(
+            f"path weight {pw} exceeds the {m}-bit key range (--m {m})"
+        ) from None
     return tree
 
 

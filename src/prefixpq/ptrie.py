@@ -9,10 +9,17 @@ prefix leading to them, so the structure stays shallow for clustered keys and
 never exceeds ``word_bits // stride_bits`` levels below the root.
 
 Each distinct key owns one leaf carrying a FIFO queue of payloads, so equal
-keys drain in insertion order (the queue is stable).  All leaves are threaded
-into a doubly linked list in ascending key order, which makes ``minimum``,
-``maximum`` and neighbor iteration O(1) and lets a full drain run in O(n)
-list traversals plus the per-extraction trie maintenance.
+keys drain in insertion order (the queue is stable).  The oldest payload is
+stored inline in the leaf; an overflow ``deque`` holds the later ones and
+exists only while the key has two or more payloads, so the common
+one-payload key costs a single small object.  ``LeafNode.queue`` returns a
+tuple snapshot of the whole FIFO for readers; the queue operations use the
+inline fields directly.  Each leaf also records the depth of the layer it is
+filed in, which lets ``delete_min`` pop a payload from the head leaf without
+descending.  All leaves are threaded into a doubly linked list in ascending
+key order, which makes ``minimum``, ``maximum`` and neighbor iteration O(1)
+and lets a full drain run in O(n) list traversals plus the per-extraction
+trie maintenance.
 
 Per-layer bookkeeping kept alongside the slot array:
 
@@ -94,21 +101,39 @@ class PTrieConfig:
 class LeafNode:
     """One distinct key plus the FIFO queue of payloads filed under it.
 
-    ``prev`` / ``next`` are the ascending-key linked-list neighbors; they are
-    the O(1) iterator steps and stay valid until the leaf's last payload is
-    removed.
+    The oldest payload sits inline in ``first``; later ones wait in the
+    ``rest`` deque, which exists only while the key holds two or more
+    payloads, so a key stored once costs no deque.  ``depth`` is the
+    0-based index of the layer the leaf is filed in (0 for the root).
+    ``prev`` / ``next`` are the ascending-key linked-list neighbors; they
+    are the O(1) iterator steps and stay valid until the leaf's last
+    payload is removed.
     """
 
-    __slots__ = ("key", "queue", "prev", "next")
+    __slots__ = ("key", "first", "rest", "depth", "prev", "next")
 
-    def __init__(self, key: int, payload: Any) -> None:
+    def __init__(self, key: int, payload: Any, depth: int = 0) -> None:
         self.key = key
-        self.queue: deque[Any] = deque((payload,))
+        self.first = payload
+        self.rest: deque[Any] | None = None
+        self.depth = depth
         self.prev: LeafNode | None = None
         self.next: LeafNode | None = None
 
+    @property
+    def queue(self) -> tuple[Any, ...]:
+        """Snapshot of the payloads in FIFO order; not a live view."""
+        if self.rest is None:
+            return (self.first,)
+        return (self.first, *self.rest)
+
     def __repr__(self) -> str:
-        return f"LeafNode(key={self.key:#x}, depth_of_queue={len(self.queue)})"
+        return f"LeafNode(key={self.key:#x}, depth_of_queue={_queued(self)})"
+
+
+def _queued(leaf: LeafNode) -> int:
+    """Payloads filed under ``leaf``."""
+    return 1 if leaf.rest is None else 1 + len(leaf.rest)
 
 
 class Layer:
@@ -243,7 +268,8 @@ class PTrie:
 
     def insert(self, key: int, payload: Any = None) -> None:
         """File ``payload`` under ``key``; equal keys keep arrival order."""
-        self._check_key(key)
+        if type(key) is not int or not 0 <= key <= self._key_mask:
+            self._check_key(key)
         st = self.last_op_stats
         st.layers_visited = 1
         st.index_ops = 0
@@ -263,7 +289,11 @@ class PTrie:
                 return
             if type(slot) is LeafNode:
                 if slot.key == key:
-                    slot.queue.append(payload)
+                    rest = slot.rest
+                    if rest is None:
+                        slot.rest = deque((payload,))
+                    else:
+                        rest.append(payload)
                     self.count += 1
                     return
                 # occupied by a different key: push the resident one level
@@ -276,6 +306,7 @@ class PTrie:
                 child.occupied = 1 << oc
                 child.min_leaf = slot
                 child.max_leaf = slot
+                slot.depth += 1
                 layer.slots[c] = child
                 layer = child
             else:
@@ -300,9 +331,14 @@ class PTrie:
         either side: everything under a lower slot sorts below ``key`` and
         everything under a higher slot sorts above it, so the predecessor
         subtree's ``max_leaf`` (or the successor subtree's ``min_leaf``) is
-        the exact splice point.
+        the exact splice point.  A lower neighbor sits in every subtree on
+        the path, so no ``min_leaf`` there can change; a layer gains the
+        new leaf as ``max_leaf`` exactly when its ``max_leaf`` was ``left``,
+        and since deeper subtrees nest in shallower ones the refresh stops
+        at the first layer, walking up, where it was not.  A higher
+        neighbor is the mirror case.
         """
-        leaf = LeafNode(key, payload)
+        leaf = LeafNode(key, payload, depth)
         occ = layer.occupied
         st.index_ops += 1
         lower = occ & ((1 << c) - 1)
@@ -316,6 +352,11 @@ class PTrie:
             else:
                 left.next.prev = leaf
             left.next = leaf
+            for d in range(depth, -1, -1):
+                ly = path[d]
+                if ly.max_leaf is not left:
+                    break
+                ly.max_leaf = leaf
         else:
             higher = occ >> (c + 1)
             if higher:
@@ -329,22 +370,21 @@ class PTrie:
                 else:
                     right.prev.next = leaf
                 right.prev = leaf
+                for d in range(depth, -1, -1):
+                    ly = path[d]
+                    if ly.min_leaf is not right:
+                        break
+                    ly.min_leaf = leaf
             else:
                 # only an empty trie reaches here: non-root layers are
                 # created around a displaced resident
                 self.head = leaf
                 self.tail = leaf
+                layer.min_leaf = leaf
+                layer.max_leaf = leaf
         layer.slots[c] = leaf
         layer.occupied = occ | (1 << c)
         st.nodes_spliced += 1
-        for d in range(depth + 1):
-            ly = path[d]
-            ml = ly.min_leaf
-            if ml is None or key < ml.key:
-                ly.min_leaf = leaf
-            xl = ly.max_leaf
-            if xl is None or key > xl.key:
-                ly.max_leaf = leaf
 
     def remove(self, key: int) -> Any:
         """Dequeue the oldest payload filed under ``key``.
@@ -380,9 +420,13 @@ class PTrie:
             layer = slot
             depth += 1
             st.layers_visited += 1
-        payload = leaf.queue.popleft()
+        payload = leaf.first
         self.count -= 1
-        if leaf.queue:
+        rest = leaf.rest
+        if rest is not None:
+            leaf.first = rest.popleft()
+            if not rest:
+                leaf.rest = None
             return payload
         prv = leaf.prev
         nxt = leaf.next
@@ -436,24 +480,71 @@ class PTrie:
         h = self.head
         if h is None:
             return None
-        return (h.key, h.queue[0])
+        return (h.key, h.first)
 
     def maximum(self) -> tuple[int, Any] | None:
         """Largest key and its oldest payload, or None when empty.  O(1)."""
         t = self.tail
         if t is None:
             return None
-        return (t.key, t.queue[0])
+        return (t.key, t.first)
 
     def delete_min(self) -> tuple[int, Any] | None:
-        """Extract the minimum; equivalent to ``remove(minimum().key)``."""
+        """Extract the minimum; equivalent to ``remove(minimum().key)``.
+
+        The head leaf's stored depth gives the step count without a
+        descent when the leaf keeps payloads.  When it empties, one descent
+        along its key finds the deepest branch point: the head is the
+        smallest leaf of every subtree on its path, so each of those layers
+        takes ``next`` as its ``min_leaf``, and it is never their
+        ``max_leaf`` unless it was the last leaf of the whole trie.
+        """
         h = self.head
         if h is None:
             return None
+        st = self.last_op_stats
+        depth = h.depth
+        st.layers_visited = depth + 1
+        self.count -= 1
         key = h.key
-        payload = self.remove(key)
-        if payload is ABSENT:
-            raise RuntimeError("head leaf vanished during delete_min")
+        payload = h.first
+        rest = h.rest
+        if rest is not None:
+            h.first = rest.popleft()
+            if not rest:
+                h.rest = None
+            st.index_ops = 0
+            st.nodes_spliced = 0
+            return (key, payload)
+        st.index_ops = 1
+        st.nodes_spliced = 1
+        nxt = h.next
+        self.head = nxt
+        if nxt is None:
+            self.tail = None
+        else:
+            nxt.prev = None
+        shifts = self._shifts
+        cmask = self._chunk_mask
+        layer = branch = self.root
+        c = bc = (key >> shifts[0]) & cmask
+        d = 0
+        while True:
+            layer.min_leaf = nxt
+            occ = layer.occupied
+            if occ & (occ - 1):
+                branch = layer
+                bc = c
+            if d == depth:
+                break
+            layer = layer.slots[c]
+            d += 1
+            c = (key >> shifts[d]) & cmask
+        # layers below the branch point drop with the leaf
+        branch.occupied &= ~(1 << bc)
+        branch.slots[bc] = None
+        if nxt is None:
+            self.root.max_leaf = None
         return (key, payload)
 
     # ------------------------------------------------------------- iteration
@@ -486,8 +577,11 @@ class PTrie:
         """Yield ``(key, payload)`` pairs in exact drain order."""
         node = self.head
         while node is not None:
-            for payload in node.queue:
-                yield (node.key, payload)
+            key = node.key
+            yield (key, node.first)
+            if node.rest is not None:
+                for payload in node.rest:
+                    yield (key, payload)
             node = node.next
 
     def keys(self) -> Iterator[int]:
@@ -504,8 +598,9 @@ class PTrie:
 
         Checks, in order: occupancy masks match slot contents, no empty
         non-root layer, level numbering and depth bounds, every leaf sits
-        on its key's chunk path, subtree ``min_leaf``/``max_leaf`` caches
-        are exact, no empty payload queue, the linked list is doubly
+        on its key's chunk path and records the depth it is filed at,
+        subtree ``min_leaf``/``max_leaf`` caches are exact, no overflow
+        deque is left empty, the linked list is doubly
         consistent, ascends strictly by key, agrees with the trie's
         left-to-right leaf order, and ``count`` equals the payload total.
         The fingerprint hashes the audited shape and is stable across
@@ -541,9 +636,14 @@ class PTrie:
                             f"leaf {slot.key:#x} filed in slot {c} at "
                             f"level {layer.level}"
                         )
-                    if not slot.queue:
-                        return f"empty payload queue at key {slot.key:#x}"
-                    trail.append(b"K%x:%d" % (slot.key, len(slot.queue)))
+                    if slot.depth != depth:
+                        return (
+                            f"leaf {slot.key:#x} records depth {slot.depth}, "
+                            f"filed at depth {depth}"
+                        )
+                    if slot.rest is not None and not slot.rest:
+                        return f"empty overflow deque at key {slot.key:#x}"
+                    trail.append(b"K%x:%d" % (slot.key, _queued(slot)))
                     leaves.append(slot)
                 else:
                     err = walk(slot, depth + 1)
@@ -592,7 +692,7 @@ class PTrie:
             if seen >= len(leaves) or leaves[seen] is not node:
                 return fail(f"list order diverges from trie at key {node.key:#x}")
             order.append(b"%x" % node.key)
-            payloads += len(node.queue)
+            payloads += _queued(node)
             prev = node
             node = node.next
             seen += 1

@@ -89,6 +89,26 @@ class TestProbExactOccupancy:
         with pytest.raises(ValueError):
             prob_exact_occupancy(5, 16, 1, 6)
 
+    def test_direct_product_kept_below_float_overflow(self):
+        # n = 1029 is the largest n whose binomials all fit a float: the
+        # values are the plain product, bit for bit
+        n, r = 1029, 16.0**-1
+        for g in range(n + 1):
+            direct = math.comb(n, g) * r**g * (1.0 - r) ** (n - g)
+            assert prob_exact_occupancy(n, 16, 1, g) == direct
+
+    @pytest.mark.parametrize("n", [1030, 100_000])
+    def test_large_n_in_log_space(self, n):
+        dist = occupancy_distribution(n, 16, 1)
+        assert all(math.isfinite(p) and p >= 0.0 for p in dist)
+        assert sum(dist) == pytest.approx(1.0, abs=1e-9)
+        g = n // 16  # the mode; exact log of the big binomial as reference
+        expect = math.exp(
+            math.log(math.comb(n, g)) + g * math.log(1 / 16)
+            + (n - g) * math.log1p(-1 / 16)
+        )
+        assert prob_exact_occupancy(n, 16, 1, g) == pytest.approx(expect, rel=1e-9)
+
     def test_occupancy_distribution_helper(self):
         dist = occupancy_distribution(4, 16, 1)
         assert len(dist) == 5

@@ -187,6 +187,15 @@ class TestAnalyze:
         payload = json.loads(out)
         assert len(payload["levels"]) == 3
 
+    def test_n_past_float_binomials(self, capsys):
+        # C(1030, 515) exceeds the float range
+        code, out, _ = run(
+            capsys, "analyze", "--n", "1030", "--trials", "2", "--json"
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["prob_mass_check"] == pytest.approx(1.0, abs=1e-9)
+
     def test_deterministic_for_seed(self, capsys):
         args = ("analyze", "--n", "64", "--trials", "25", "--seed", "5",
                 "--json")
@@ -233,6 +242,13 @@ class TestExitCodes:
         code = main(["sssp", "--input", str(g), "--source", "A", "--m", "8",
                      "--k", "4"])
         assert code == 2
+
+    def test_path_sum_overflow_is_input_error(self, capsys, tmp_path):
+        g = tmp_path / "long.g"
+        g.write_text("v A\nv B\nv C\na A B 4294967295\na B C 1\n")
+        code, _, err = run(capsys, "sssp", "--input", str(g), "--source", "A")
+        assert code == 2
+        assert "path weight 4294967296" in err and "--m 32" in err
 
 
 class TestSchemas:

@@ -7,6 +7,7 @@ import pytest
 from prefixpq import (
     GraphError,
     Graph,
+    PTrieConfig,
     format_trace_event,
     format_walk,
     parse_graph,
@@ -258,3 +259,32 @@ class TestErrors:
         tree = sssp(g, "A")
         assert tree.dist == {"A": 0}
         assert walk(tree, "A") == [("A", None)]
+
+
+class TestPathSumsAtTheKeyWidth:
+    @pytest.mark.parametrize("m,k", [(16, 4), (32, 4)])
+    def test_sums_up_to_the_top_key_solve(self, m, k):
+        top = (1 << m) - 1
+        g = parse_graph(
+            f"v A\nv B\nv C\nv D\na A B {top - 3}\na B C 2\na C D 1\n"
+            f"a A D {top}\na D A 0\n",
+            m,
+        )
+        tree = sssp(g, "A", PTrieConfig(m, k))
+        assert tree.dist == dijkstra_heap(g, "A")
+        assert tree.dist["D"] == top
+        assert tree.back["D"] == ("A", top)  # queued first among the ties
+
+    @pytest.mark.parametrize("m,k", [(16, 4), (32, 4)])
+    def test_sum_past_the_top_key_is_a_graph_error(self, m, k):
+        top = (1 << m) - 1
+        g = parse_graph(f"v A\nv B\nv C\na A B {top}\na B C 1\n", m)
+        cfg = PTrieConfig(m, k)
+        message = rf"path weight {top + 1} exceeds the {m}-bit key range \(--m {m}\)"
+        for solve in (
+            lambda: sssp(g, "A", cfg),
+            lambda: sssp_trace(g, "A", cfg),
+            lambda: sdsp(g, "C", cfg),
+        ):
+            with pytest.raises(GraphError, match=message):
+                solve()

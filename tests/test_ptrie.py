@@ -1,9 +1,11 @@
 """Core queue behavior: ordering, stability, structure, instrumentation."""
 
+from collections import deque
+
 import pytest
 
 from helpers import run_differential
-from prefixpq import ABSENT, PTrie, PTrieConfig
+from prefixpq import ABSENT, LeafNode, PTrie, PTrieConfig
 from prefixpq.ptrie import Layer
 
 
@@ -118,6 +120,16 @@ class TestInsert:
             make().insert("7")
         with pytest.raises(TypeError):
             make().insert(True)
+
+    def test_int_subclass_key_takes_the_checked_path(self):
+        class Key(int):
+            pass
+
+        t = make(8, 4)
+        t.insert(Key(7), "a")
+        assert t.minimum() == (7, "a")
+        with pytest.raises(ValueError, match="outside the 8-bit unsigned range"):
+            t.insert(Key(256))
 
     def test_none_payload_is_storable(self):
         t = make()
@@ -345,6 +357,77 @@ class TestValidate:
         rep = t.validate()
         assert not rep.ok
         assert "count" in rep.error
+
+    def test_detects_stale_leaf_depth(self):
+        t = make(8, 4)
+        t.insert(0x10)
+        t.insert(0x1F)  # pushes 0x10 one level down
+        t.find_node(0x10).depth = 0
+        rep = t.validate()
+        assert not rep.ok
+        assert "records depth 0, filed at depth 1" in rep.error
+
+    def test_detects_empty_overflow_deque(self):
+        t = make()
+        t.insert(4, "a")
+        t.find_node(4).rest = deque()
+        rep = t.validate()
+        assert not rep.ok
+        assert "empty overflow deque" in rep.error
+
+
+class TestLeafNode:
+    def test_constructs_at_depth_zero(self):
+        leaf = LeafNode(9, "p")
+        assert (leaf.key, leaf.first, leaf.rest, leaf.depth) == (9, "p", None, 0)
+        assert leaf.queue == ("p",)
+
+    def test_overflow_deque_only_while_duplicated(self):
+        t = make()
+        t.insert(4, "a")
+        node = t.find_node(4)
+        assert node.rest is None
+        t.insert(4, "b")
+        t.insert(4, "c")
+        assert node.queue == ("a", "b", "c")
+        assert t.delete_min() == (4, "a")
+        assert t.remove(4) == "b"
+        assert node.rest is None and node.queue == ("c",)
+        assert t.validate().ok
+
+    def test_queue_is_a_snapshot(self):
+        t = make()
+        t.insert(4, "a")
+        t.insert(4, "b")
+        snap = t.find_node(4).queue
+        t.insert(4, "c")
+        assert snap == ("a", "b")
+
+    def test_depth_tracks_pushdown(self):
+        t = make()
+        t.insert(0x1234ABCD)
+        assert t.find_node(0x1234ABCD).depth == 0
+        t.insert(0x1234ABCE)  # shares seven chunks: both end at depth 7
+        assert t.find_node(0x1234ABCD).depth == 7
+        assert t.find_node(0x1234ABCE).depth == 7
+
+    @pytest.mark.parametrize("payload", [None, (), (1, 2), deque(), deque([1])])
+    def test_container_payloads_round_trip(self, payload):
+        # payloads that look like the inline/overflow storage come back
+        # as the same objects, alone and behind another payload
+        t = make()
+        t.insert(3, payload)
+        t.insert(3, payload)
+        t.insert(3, "z")
+        assert [p for _, p in t] == [payload, payload, "z"]
+        assert t.delete_min()[1] is payload
+        assert t.remove(3) is payload
+        assert t.delete_min() == (3, "z")
+        t.insert(5, payload)
+        assert t.minimum()[1] is payload and t.maximum()[1] is payload
+        assert t.find_node(5).queue == (payload,)
+        assert t.delete_min()[1] is payload
+        assert t.count == 0 and t.validate().ok
 
 
 class TestDifferential:

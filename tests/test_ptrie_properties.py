@@ -127,3 +127,49 @@ def test_signed_drain_is_stable_sort(values):
 def test_differential_runner_accepts_random_seeds(seed):
     verdict = run_differential(seed, n_ops=300, word_bits=12, stride_bits=4)
     assert verdict.matched, verdict.first_divergence
+
+
+def _op_triple(t):
+    st = t.last_op_stats
+    return (st.layers_visited, st.index_ops, st.nodes_spliced)
+
+
+# few distinct keys, spread over the whole key space, so leaves hold long
+# FIFO queues and still sit at every depth
+_dup_ops = st.lists(
+    st.tuples(st.sampled_from(("insert", "insert", "delete_min")),
+              st.integers(min_value=0, max_value=7)),
+    max_size=250,
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([(8, 4), (16, 2), (32, 4), (32, 8)]),
+       st.lists(st.integers(min_value=0, max_value=2**64 - 1),
+                min_size=8, max_size=8),
+       _dup_ops)
+def test_delete_min_steps_match_remove_of_minimum(geometry, spread, ops):
+    m, k = geometry
+    keys = [x >> (64 - m) for x in spread]
+    t, twin = PTrie(PTrieConfig(m, k)), PTrie(PTrieConfig(m, k))
+    ref = StableListPQ()
+    for i, (kind, ix) in enumerate(ops):
+        if kind == "insert":
+            t.insert(keys[ix], i)
+            twin.insert(keys[ix], i)
+            ref.insert(keys[ix], i)
+            continue
+        expect = ref.delete_min()
+        got = t.delete_min()
+        if expect is None:
+            assert got is None
+            continue
+        assert got == expect
+        assert twin.remove(got[0]) == got[1]
+        assert _op_triple(t) == _op_triple(twin)
+    while t.count:
+        got = t.delete_min()
+        assert got == ref.delete_min()
+        assert twin.remove(got[0]) == got[1]
+        assert _op_triple(t) == _op_triple(twin)
+    assert t.validate().ok and twin.validate().ok
