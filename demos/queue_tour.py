@@ -64,7 +64,7 @@ section("validate() audits the whole structure")
 report = queue.validate()
 print("ok:", report.ok, " fingerprint:", report.fingerprint[:16], "...")
 
-section("signed values ride on two tries")
+section("signed values ride on one biased trie")
 signed = SignedPTrie(PTrieConfig(32, 4))
 for v in (10, -4, 0, -4, 9):
     signed.insert(v, f"got {v}")

@@ -3,7 +3,7 @@
 Public surface:
 
 * ``PTrie`` / ``PTrieConfig`` -- the queue over fixed-width unsigned keys.
-* ``SignedPTrie`` / ``encode_unsigned`` -- key encodings beyond unsigned.
+* ``SignedPTrie`` -- signed integer keys on one biased trie.
 * ``Graph`` and the ``.g`` file format -- weighted digraphs with stable
   adjacency order.
 * ``mst_prim``, ``sssp``, ``sdsp``, ``sssp_trace``, ``walk`` -- the
@@ -28,7 +28,7 @@ from .graphs import (
     save_graph,
     serialize_graph,
 )
-from .keycodec import SignedPTrie, encode_unsigned
+from .keycodec import SignedPTrie
 from .mst import MstResult, mst_prim
 from .paths import (
     PathTree,
@@ -70,7 +70,6 @@ __all__ = [
     "SignedPTrie",
     "TraceEvent",
     "ValidationReport",
-    "encode_unsigned",
     "expected_layers_at_level",
     "format_trace_event",
     "format_walk",

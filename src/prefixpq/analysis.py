@@ -25,10 +25,9 @@ comparison meaningful even at deep levels where every trial observes zero.
 from __future__ import annotations
 
 import math
+import random
 import sys
 from dataclasses import dataclass
-
-import numpy as np
 
 from .ptrie import Layer, LeafNode, PTrie, PTrieConfig
 
@@ -168,17 +167,21 @@ def monte_carlo_layer_counts(
     is also how the model treats colliding full-width keys.
     """
     cfg = config if config is not None else PTrieConfig()
+    _check_common(n_keys, cfg.degree, 0)
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
-    rng = np.random.default_rng(seed)
+    # random.Random seeds with abs(seed); rejecting negatives keeps every
+    # seed its own stream
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
+    rng = random.Random(seed)
     depth = cfg.depth_max
     sums = [0] * depth
     totals = []
     for _ in range(trials):
-        keys = rng.integers(0, 1 << cfg.word_bits, size=n_keys, dtype=np.uint64)
         trie = PTrie(cfg)
-        for key in keys.tolist():
-            trie.insert(key)
+        for _ in range(n_keys):
+            trie.insert(rng.getrandbits(cfg.word_bits))
         counts = count_layers_per_level(trie)
         for lvl, c in enumerate(counts):
             sums[lvl] += c

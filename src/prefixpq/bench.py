@@ -14,11 +14,10 @@ identical report bytes; text renderers may show it as an aside.
 
 from __future__ import annotations
 
+import random
 import time
 from dataclasses import dataclass
 from typing import Any
-
-import numpy as np
 
 from .graphs import Graph
 from .oracles import StableListPQ, dijkstra_heap
@@ -62,9 +61,22 @@ class PqBenchReport:
         }
 
 
+def _require(name: str, value: int, least: int = 0) -> None:
+    """Reject a size or seed below ``least`` with a ValueError naming it."""
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
+
+
+def _seeded(seed: int) -> random.Random:
+    # random.Random seeds with abs(seed); rejecting negatives keeps every
+    # seed its own stream
+    _require("seed", seed)
+    return random.Random(seed)
+
+
 def _random_keys(n: int, word_bits: int, seed: int) -> list[int]:
-    rng = np.random.default_rng(seed)
-    return rng.integers(0, 1 << word_bits, size=n, dtype=np.uint64).tolist()
+    rng = _seeded(seed)
+    return [rng.getrandbits(word_bits) for _ in range(n)]
 
 
 _CHECKSUM_MOD = (1 << 61) - 1
@@ -84,6 +96,7 @@ def run_pq_workload(
     The drain checksum folds every extracted key in order, so two queue
     kinds agree on it exactly when their drain orders agree on keys.
     """
+    _require("n", n)
     keys = _random_keys(n, word_bits, seed)
     checksum = 0
     t0 = time.perf_counter()
@@ -191,6 +204,8 @@ def scaling_sweep(
     seed: int = 0,
 ) -> ScalingReport:
     """Run the insert/drain workload at each size with derived seeds."""
+    for n in sizes:
+        _require("scaling size", n, 1)
     reports = tuple(
         run_pq_workload(n, "ptrie", word_bits, stride_bits, seed + i)
         for i, n in enumerate(sizes)
@@ -227,16 +242,17 @@ def random_graph(
     n_vertices: int, n_arcs: int, max_weight: int = 1 << 16, seed: int = 0
 ) -> Graph:
     """Seeded random digraph with numeric labels v0..v{n-1}."""
-    rng = np.random.default_rng(seed)
+    _require("n_vertices", n_vertices)
+    _require("n_arcs", n_arcs)
+    rng = _seeded(seed)
     g = Graph()
     labels = [f"v{i}" for i in range(n_vertices)]
     for lb in labels:
         g.add_vertex(lb)
-    tails = rng.integers(0, n_vertices, size=n_arcs)
-    heads = rng.integers(0, n_vertices, size=n_arcs)
-    weights = rng.integers(0, max_weight, size=n_arcs)
-    for t, h, w in zip(tails.tolist(), heads.tolist(), weights.tolist()):
-        g.add_arc(labels[t], labels[h], w)
+    for _ in range(n_arcs):
+        t = rng.randrange(n_vertices)
+        h = rng.randrange(n_vertices)
+        g.add_arc(labels[t], labels[h], rng.randrange(max_weight))
     return g
 
 

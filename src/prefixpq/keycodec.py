@@ -1,13 +1,10 @@
-"""Key encodings that map other orderable values onto the trie's key space.
+"""Signed integer keys on the unsigned trie.
 
-The trie compares raw unsigned bit patterns, so anything else has to be
-embedded order-preservingly first.  ``encode_unsigned`` is the trivial
-identity embedding with a range check.  ``SignedPTrie`` handles signed
-integers with a pair of tries: non-negative values keep their natural key in
-one trie, negative values go into a second trie keyed by the bitwise
-complement of their magnitude, which reverses their order so the most
-negative value owns the smallest key there.  A signed drain serves the
-negative trie to exhaustion, then the non-negative one.
+The trie compares raw unsigned bit patterns, so signed values have to be
+embedded order-preservingly first.  ``SignedPTrie`` files value ``v`` under
+the biased key ``v + 2**(M-1)``: the signed range ``|v| <= 2**(M-1)-1`` fills
+keys ``1 .. 2**M-1`` in value order, so one trie drains, peeks and bounds the
+signed values exactly as it does unsigned keys.
 """
 
 from __future__ import annotations
@@ -15,17 +12,6 @@ from __future__ import annotations
 from typing import Any
 
 from .ptrie import PTrie, PTrieConfig
-
-
-def encode_unsigned(value: int, word_bits: int = 32) -> int:
-    """Check ``value`` against the unsigned range and return it unchanged."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise TypeError(f"value must be an int, got {type(value).__name__}")
-    if word_bits < 1:
-        raise ValueError(f"word_bits must be positive, got {word_bits}")
-    if value < 0 or value >= 1 << word_bits:
-        raise ValueError(f"value {value} outside the {word_bits}-bit unsigned range")
-    return value
 
 
 class SignedPTrie:
@@ -38,68 +24,56 @@ class SignedPTrie:
     [-7, -3, 0, 5, 5]
     """
 
-    __slots__ = ("config", "negative", "nonnegative", "_mag_limit", "_key_mask")
+    __slots__ = ("config", "trie", "_bias")
 
     def __init__(self, config: PTrieConfig | None = None) -> None:
         self.config = config if config is not None else PTrieConfig()
-        self.negative = PTrie(self.config)
-        self.nonnegative = PTrie(self.config)
-        self._mag_limit = (1 << (self.config.word_bits - 1)) - 1
-        self._key_mask = self.config.key_mask
+        self.trie = PTrie(self.config)
+        self._bias = 1 << (self.config.word_bits - 1)
 
-    def _check(self, value: int) -> None:
+    def encode(self, value: int) -> int:
+        """Trie key of ``value``; key order mirrors value order."""
         if not isinstance(value, int) or isinstance(value, bool):
             raise TypeError(f"value must be an int, got {type(value).__name__}")
-        if value > self._mag_limit or -value > self._mag_limit:
+        limit = self._bias - 1
+        if value > limit or -value > limit:
             raise ValueError(
                 f"magnitude of {value} exceeds the signed "
-                f"{self.config.word_bits}-bit limit {self._mag_limit}"
+                f"{self.config.word_bits}-bit limit {limit}"
             )
+        return value + self._bias
 
-    def encode(self, value: int) -> tuple[bool, int]:
-        """(is_negative, trie key) for ``value``; key order mirrors value order."""
-        self._check(value)
-        if value >= 0:
-            return (False, value)
-        return (True, self._key_mask - (-value))
-
-    def decode(self, negative: bool, key: int) -> int:
-        return -(self._key_mask - key) if negative else key
+    def decode(self, key: int) -> int:
+        """The signed value filed under trie ``key``; inverts ``encode``."""
+        return key - self._bias
 
     def insert(self, value: int, payload: Any = None) -> None:
-        neg, key = self.encode(value)
-        (self.negative if neg else self.nonnegative).insert(key, payload)
+        self.trie.insert(self.encode(value), payload)
 
     def delete_min(self) -> tuple[int, Any] | None:
-        """Extract the smallest signed value; negatives drain first."""
-        if self.negative.count:
-            key, payload = self.negative.delete_min()
-            return (self.decode(True, key), payload)
-        got = self.nonnegative.delete_min()
+        """Extract the smallest signed value, FIFO among equal values."""
+        got = self.trie.delete_min()
         if got is None:
             return None
-        return got
+        return (got[0] - self._bias, got[1])
 
     def minimum(self) -> tuple[int, Any] | None:
-        if self.negative.count:
-            key, payload = self.negative.minimum()
-            return (self.decode(True, key), payload)
-        return self.nonnegative.minimum()
-
-    def maximum(self) -> tuple[int, Any] | None:
-        if self.nonnegative.count:
-            return self.nonnegative.maximum()
-        got = self.negative.maximum()
+        got = self.trie.minimum()
         if got is None:
             return None
-        key, payload = got
-        return (self.decode(True, key), payload)
+        return (got[0] - self._bias, got[1])
+
+    def maximum(self) -> tuple[int, Any] | None:
+        got = self.trie.maximum()
+        if got is None:
+            return None
+        return (got[0] - self._bias, got[1])
 
     def __len__(self) -> int:
-        return self.negative.count + self.nonnegative.count
+        return self.trie.count
 
     def __bool__(self) -> bool:
-        return len(self) > 0
+        return self.trie.count > 0
 
     def __repr__(self) -> str:
         return (

@@ -12,10 +12,7 @@ from __future__ import annotations
 import json
 from typing import Any
 
-import jsonschema
-
 from .analysis import LayerCountObservation
-from .bench import DijkstraBenchReport, PqBenchReport, ScalingReport
 from .graphs import Graph
 from .mst import MstResult
 from .paths import PathTree, TraceEvent
@@ -255,6 +252,9 @@ SCHEMAS = {
 
 def validate_payload(kind: str, payload: dict[str, Any]) -> None:
     """Raise jsonschema.ValidationError unless ``payload`` fits ``kind``."""
+    # imported here so that only the --json paths pay for loading it
+    import jsonschema
+
     jsonschema.validate(payload, SCHEMAS[kind])
 
 
@@ -317,12 +317,6 @@ def trace_to_dict(source: str, events: list[TraceEvent]) -> dict[str, Any]:
             for ev in events
         ],
     }
-
-
-def bench_to_dict(
-    report: PqBenchReport | ScalingReport | DijkstraBenchReport,
-) -> dict[str, Any]:
-    return report.to_dict()
 
 
 def analysis_to_dict(

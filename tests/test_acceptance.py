@@ -395,8 +395,7 @@ def test_criterion_12_validated_soak_with_signed():
                 signed.delete_min()
             else:
                 signed.minimum()
-            check(signed.negative)
-            check(signed.nonnegative)
+            check(signed.trie)
     ok = not failures and ops == 100_000
     _verdict(12, "validate() clean after every op of a 1e5-op mixed soak",
              ok, time.perf_counter() - t0, 60.0)

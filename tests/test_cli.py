@@ -1,10 +1,15 @@
 """Command-line behavior: outputs, JSON payloads, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+import prefixpq
 from prefixpq.cli import main
 from prefixpq.schemas import SCHEMAS, validate_payload
 
@@ -249,6 +254,66 @@ class TestExitCodes:
         code, _, err = run(capsys, "sssp", "--input", str(g), "--source", "A")
         assert code == 2
         assert "path weight 4294967296" in err and "--m 32" in err
+
+    @pytest.mark.parametrize("argv,name", [
+        pytest.param(["bench", "--n", "-5"], "n", id="bench-n"),
+        pytest.param(["bench", "--mode", "dijkstra", "--vertices", "-2"],
+                     "n_vertices", id="bench-vertices"),
+        pytest.param(["bench", "--mode", "dijkstra", "--arcs", "-1"],
+                     "n_arcs", id="bench-arcs"),
+        pytest.param(["bench", "--mode", "scaling", "--sizes", "500", "-3"],
+                     "scaling size", id="bench-sizes-negative"),
+        pytest.param(["bench", "--mode", "scaling", "--sizes", "0"],
+                     "scaling size", id="bench-sizes-zero"),
+        pytest.param(["bench", "--n", "10", "--seed", "-1"], "seed",
+                     id="bench-seed"),
+        pytest.param(["analyze", "--n", "-4", "--trials", "2"], "n",
+                     id="analyze-n"),
+        pytest.param(["analyze", "--n", "8", "--trials", "2", "--seed", "-1"],
+                     "seed", id="analyze-seed"),
+    ])
+    def test_bad_size_or_seed_is_usage_error(self, capsys, argv, name):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert f"error: {name} must be" in err
+
+
+# Loaded modules are checked in a fresh interpreter: the test process
+# itself has imported both libraries already.
+_IMPORT_PROBE = """
+import contextlib, io, json, sys
+
+def loaded():
+    return [m for m in ("numpy", "jsonschema") if m in sys.modules]
+
+import prefixpq
+seen = [loaded()]
+from prefixpq.cli import main
+codes = []
+with contextlib.redirect_stdout(io.StringIO()):
+    codes.append(main(["mst", "--input", "fig4.g", "--root", "A"]))
+    codes.append(main(["trace", "--input", "demo.g", "--source", "A"]))
+    seen.append(loaded())
+    codes.append(main(["sssp", "--input", "fig6.g", "--source", "A", "--json"]))
+    seen.append(loaded())
+print(json.dumps({"codes": codes, "seen": seen}))
+"""
+
+
+def test_runtime_import_set(tmp_path):
+    src = str(Path(prefixpq.__file__).resolve().parents[1])
+    path = [src] + [p for p in (os.environ.get("PYTHONPATH"),) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    assert got["codes"] == [0, 0, 0]
+    after_import, after_text, after_json = got["seen"]
+    assert "numpy" not in after_import
+    assert after_text == []
+    assert "jsonschema" in after_json
 
 
 class TestSchemas:

@@ -1,28 +1,10 @@
-"""Signed embedding and the unsigned range check."""
+"""Signed keys on one biased trie."""
 
 import random
 
 import pytest
 
-from prefixpq import PTrieConfig, SignedPTrie, encode_unsigned
-
-
-class TestEncodeUnsigned:
-    def test_identity_in_range(self):
-        assert encode_unsigned(0) == 0
-        assert encode_unsigned(2**32 - 1) == 2**32 - 1
-        assert encode_unsigned(255, word_bits=8) == 255
-
-    @pytest.mark.parametrize("value,bits", [(-1, 32), (2**32, 32), (256, 8)])
-    def test_overflow_rejected(self, value, bits):
-        with pytest.raises(ValueError):
-            encode_unsigned(value, word_bits=bits)
-
-    def test_non_int_rejected(self):
-        with pytest.raises(TypeError):
-            encode_unsigned("3")
-        with pytest.raises(TypeError):
-            encode_unsigned(False)
+from prefixpq import PTrieConfig, SignedPTrie
 
 
 class TestSignedPTrie:
@@ -46,18 +28,12 @@ class TestSignedPTrie:
 
     def test_encode_is_monotone_within_each_trie(self):
         q = SignedPTrie(PTrieConfig(8, 4))
-        neg_keys = [q.encode(v)[1] for v in range(-127, 0)]
-        pos_keys = [q.encode(v)[1] for v in range(0, 128)]
-        assert neg_keys == sorted(neg_keys)
-        assert pos_keys == sorted(pos_keys)
-        assert all(q.encode(v)[0] for v in range(-127, 0))
-        assert not any(q.encode(v)[0] for v in range(0, 128))
+        assert [q.encode(v) for v in range(-127, 128)] == list(range(1, 256))
 
     def test_decode_round_trip(self):
         q = SignedPTrie()
         for v in (-(2**31) + 1, -1, 0, 1, 2**31 - 1):
-            neg, key = q.encode(v)
-            assert q.decode(neg, key) == v
+            assert q.decode(q.encode(v)) == v
 
     @pytest.mark.parametrize("value", [2**31, -(2**31), 2**40])
     def test_magnitude_limit(self, value):
@@ -111,5 +87,4 @@ class TestSignedPTrie:
             q.insert(rng.randrange(-(2**20), 2**20), i)
         for _ in range(150):
             q.delete_min()
-        assert q.negative.validate().ok
-        assert q.nonnegative.validate().ok
+        assert q.trie.validate().ok

@@ -2,7 +2,7 @@
 
 import random
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from helpers import run_differential
 from prefixpq import ABSENT, PTrie, PTrieConfig, SignedPTrie
@@ -107,11 +107,24 @@ def test_fingerprint_is_a_function_of_history(keys):
     assert a.fingerprint == b.fingerprint
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.lists(st.integers(min_value=-(2**31) + 1, max_value=2**31 - 1),
+_SIGNED_GEOMETRIES = [(8, 4), (16, 2), (32, 4), (32, 8)]
+# clamped to +-(2**(M-1)-1) in the test, so these are each geometry's extremes
+_SIGNED_EXTREMES = [2**31 - 1, -(2**31) + 1, 0, -(2**31) + 1, 2**31 - 1, 1]
+
+
+@settings(max_examples=240, deadline=None)
+@given(st.sampled_from(_SIGNED_GEOMETRIES),
+       st.lists(st.integers(min_value=-(2**31) + 1, max_value=2**31 - 1),
                 max_size=150))
-def test_signed_drain_is_stable_sort(values):
-    q = SignedPTrie()
+@example((8, 4), _SIGNED_EXTREMES)
+@example((16, 2), _SIGNED_EXTREMES)
+@example((32, 4), _SIGNED_EXTREMES)
+@example((32, 8), _SIGNED_EXTREMES)
+def test_signed_drain_is_stable_sort(geometry, values):
+    m, k = geometry
+    limit = 2 ** (m - 1) - 1
+    values = [max(-limit, min(limit, v)) for v in values]
+    q = SignedPTrie(PTrieConfig(m, k))
     for i, v in enumerate(values):
         q.insert(v, i)
     drained = []
