@@ -263,6 +263,7 @@ def run_dijkstra_bench(
     seed: int = 0,
 ) -> DijkstraBenchReport:
     """Shortest paths from v0 on a seeded random graph, checked vs the heap."""
+    _require("n_vertices", n_vertices, 1)  # the source v0 must exist
     g = random_graph(n_vertices, n_arcs, seed=seed)
     reference = dijkstra_heap(g, "v0")
     t0 = time.perf_counter()

@@ -16,8 +16,7 @@ order, which pins down tie-breaking in every consumer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 
 class GraphError(Exception):
@@ -32,8 +31,7 @@ class GraphParseError(GraphError):
         self.line_no = line_no
 
 
-@dataclass(frozen=True)
-class Arc:
+class Arc(NamedTuple):
     """One directed arc.  ``weight`` is the raw arc weight, not a path sum."""
 
     tail: str

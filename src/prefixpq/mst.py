@@ -2,7 +2,8 @@
 
 Arcs are queued keyed by their raw weight.  Extraction accepts an arc only
 when its head is still outside the tree (lazy deletion of the rest), then
-queues every out-arc of the freshly attached vertex.  On an undirected
+queues each out-arc of the freshly attached vertex whose head is outside
+the tree; an arc into the tree could only be rejected.  On an undirected
 graph, stored as symmetric arc pairs, the accepted arcs form a minimum
 spanning tree of the root's component; equal-weight choices follow queue
 FIFO order, so the result is deterministic for a given adjacency order.
@@ -35,17 +36,22 @@ def mst_prim(g: Graph, root: str, config: PTrieConfig | None = None) -> MstResul
     in_tree = {root}
     edges: list[tuple[str, str, int]] = []
     total = 0
+    insert = queue.insert
+    delete_min = queue.delete_min
     for arc in g.arcs_from(root):
-        queue.insert(arc.weight, arc)
+        if arc.head not in in_tree:
+            insert(arc.weight, arc)
     while queue.count:
-        _, arc = queue.delete_min()
-        if arc.head in in_tree:
+        weight, arc = delete_min()
+        head = arc.head
+        if head in in_tree:
             continue
-        in_tree.add(arc.head)
-        edges.append((arc.tail, arc.head, arc.weight))
-        total += arc.weight
-        for out in g.arcs_from(arc.head):
-            queue.insert(out.weight, out)
+        in_tree.add(head)
+        edges.append((arc.tail, head, weight))
+        total += weight
+        for out in g.arcs_from(head):
+            if out.head not in in_tree:
+                insert(out.weight, out)
     return MstResult(
         root=root,
         edges=tuple(edges),

@@ -1,11 +1,13 @@
 """Single-source and single-destination shortest paths on the trie queue.
 
-The solver is Dijkstra with lazy deletion: every relaxation inserts a fresh
-queue entry keyed by the candidate path weight, and stale entries are
-rejected at extraction time when their head is already settled.  The queue's
-FIFO behavior at equal keys makes the whole run deterministic given the
-graph's adjacency order: among equal path weights, the entry inserted first
-is served first, so tie-breaking needs no extra bookkeeping.
+The solver is Dijkstra with lazy deletion and no DecreaseKey: settling a
+vertex queues each of its out-arcs whose head is not yet settled, keyed by
+the path weight it would realize, and an entry whose head was settled
+meanwhile is rejected at extraction time.  An arc into an already settled
+vertex is never queued, since it could only be rejected.  The queue's FIFO
+behavior at equal keys makes the whole run deterministic given the graph's
+adjacency order: among equal path weights, the entry inserted first is
+served first, so tie-breaking needs no extra bookkeeping.
 
 The run starts by seeding the source's out-arcs, with the source itself
 settled at distance 0.  Settling an entry records its arc as the back edge:
@@ -13,9 +15,11 @@ settled at distance 0.  Settling an entry records its arc as the back edge:
 minimum-weight path to the source in reverse.  ``sdsp`` answers "everyone to
 one destination" by running the same solver on the reversed graph.
 
-``sssp_trace`` additionally logs one event per extraction, each with the
-queue's full pre-extraction content in drain order, which makes the
-scheduling of every accept and reject reproducible and inspectable.
+``sssp_trace`` runs its own loop, which queues every out-arc of a settled
+vertex as a ``QueueEntry`` (settled heads included) and logs one event per
+extraction, each with the queue's full pre-extraction content in drain
+order.  That makes the scheduling of every accept and reject reproducible
+and inspectable; its tree equals the one ``sssp`` returns.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from .ptrie import PTrie, PTrieConfig
 
 @dataclass(frozen=True)
 class QueueEntry:
-    """One queued relaxation: arc plus the path weight it would realize."""
+    """One relaxation queued by ``sssp_trace``: arc plus its path weight."""
 
     weight: int
     path_weight: int
@@ -77,29 +81,72 @@ class TraceEvent:
     queue: tuple[QueueEntry, ...]
 
 
-def _run(
-    g: Graph,
-    source: str,
-    config: PTrieConfig | None,
-    events: list[TraceEvent] | None,
-) -> PathTree:
+def _start(
+    g: Graph, source: str, config: PTrieConfig | None
+) -> tuple[PTrie, PathTree]:
+    """An empty queue and a tree holding only the settled source."""
     if source not in g:
         raise GraphError(f"unknown vertex {source!r}")
-    queue = PTrie(config)
     tree = PathTree(source=source)
     tree.dist[source] = 0
     tree.hops[source] = 0
     tree.back[source] = None
+    return PTrie(config), tree
+
+
+def _key_overflow(queue: PTrie, path_weight: int) -> GraphError:
+    # only a relaxation's insert raises ValueError inside the solver loops:
+    # its path sum outgrew the key width, which no single arc weight check
+    # can rule out
+    m = queue.config.word_bits
+    return GraphError(
+        f"path weight {path_weight} exceeds the {m}-bit key range (--m {m})"
+    )
+
+
+def sssp(g: Graph, source: str, config: PTrieConfig | None = None) -> PathTree:
+    """Shortest paths from ``source`` to every reachable vertex."""
+    queue, tree = _start(g, source, config)
+    back = tree.back
+    dist = tree.dist
+    hops = tree.hops
+    insert = queue.insert
+    delete_min = queue.delete_min
+    for arc in g.arcs_from(source):
+        if arc.head not in back:
+            insert(arc.weight, arc)
+    try:
+        while queue.count:
+            base, arc = delete_min()
+            head = arc.head
+            if head in back:
+                continue
+            back[head] = (arc.tail, arc.weight)
+            dist[head] = base
+            hops[head] = hops[arc.tail] + 1
+            for out in g.arcs_from(head):
+                if out.head not in back:
+                    pw = base + out.weight
+                    insert(pw, out)
+    except ValueError:
+        raise _key_overflow(queue, pw) from None
+    return tree
+
+
+def sssp_trace(
+    g: Graph, source: str, config: PTrieConfig | None = None
+) -> tuple[PathTree, list[TraceEvent]]:
+    """Like ``sssp`` but also return the full extraction log."""
+    queue, tree = _start(g, source, config)
     for arc in g.arcs_from(source):
         queue.insert(arc.weight, QueueEntry(arc.weight, arc.weight, source, arc.head))
     back = tree.back
     dist = tree.dist
     hops = tree.hops
-    step = 0
+    events: list[TraceEvent] = []
     try:
         while queue.count:
-            if events is not None:
-                snapshot = tuple(entry for _, entry in queue)
+            snapshot = tuple(entry for _, entry in queue)
             _, entry = queue.delete_min()
             head = entry.head
             rejected = head in back
@@ -111,41 +158,20 @@ def _run(
                 for arc in g.arcs_from(head):
                     pw = base + arc.weight
                     queue.insert(pw, QueueEntry(arc.weight, pw, head, arc.head))
-            step += 1
-            if events is not None:
-                events.append(TraceEvent(step, entry, rejected, snapshot))
+            events.append(TraceEvent(len(events) + 1, entry, rejected, snapshot))
     except ValueError:
-        # only a relaxation's insert raises here: its path sum outgrew the
-        # key width, which no single arc weight check can rule out
-        m = queue.config.word_bits
-        raise GraphError(
-            f"path weight {pw} exceeds the {m}-bit key range (--m {m})"
-        ) from None
-    return tree
-
-
-def sssp(g: Graph, source: str, config: PTrieConfig | None = None) -> PathTree:
-    """Shortest paths from ``source`` to every reachable vertex."""
-    return _run(g, source, config, None)
-
-
-def sssp_trace(
-    g: Graph, source: str, config: PTrieConfig | None = None
-) -> tuple[PathTree, list[TraceEvent]]:
-    """Like ``sssp`` but also return the full extraction log."""
-    events: list[TraceEvent] = []
-    tree = _run(g, source, config, events)
+        raise _key_overflow(queue, pw) from None
     return tree, events
 
 
 def sdsp(g: Graph, dest: str, config: PTrieConfig | None = None) -> PathTree:
     """Shortest paths from every vertex into ``dest``.
 
-    Runs the source solver on the reversed graph, so ``dist[v]`` is the
+    Runs ``sssp`` on the reversed graph, so ``dist[v]`` is the
     weight of a lightest v-to-dest path and the back chain from ``v``
     walks that path's vertices toward ``dest`` (arcs reversed).
     """
-    return _run(g.reverse(), dest, config, None)
+    return sssp(g.reverse(), dest, config)
 
 
 def walk(tree: PathTree, v: str) -> list[tuple[str, int | None]] | None:

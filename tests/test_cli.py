@@ -261,6 +261,10 @@ class TestExitCodes:
                      "n_vertices", id="bench-vertices"),
         pytest.param(["bench", "--mode", "dijkstra", "--arcs", "-1"],
                      "n_arcs", id="bench-arcs"),
+        pytest.param(["bench", "--mode", "dijkstra", "--vertices", "0",
+                      "--arcs", "0"], "n_vertices", id="bench-no-vertex"),
+        pytest.param(["bench", "--mode", "dijkstra", "--vertices", "0",
+                      "--arcs", "5"], "n_vertices", id="bench-no-vertex-arcs"),
         pytest.param(["bench", "--mode", "scaling", "--sizes", "500", "-3"],
                      "scaling size", id="bench-sizes-negative"),
         pytest.param(["bench", "--mode", "scaling", "--sizes", "0"],

@@ -76,8 +76,11 @@ class TestGraphContainer:
         g.add_vertex("V")
         fwd, bwd = g.add_edge("U", "V", 9)
         assert fwd == Arc("U", "V", 9)
-        assert bwd == Arc("V", "U", 9)
+        assert bwd == Arc(tail="V", head="U", weight=9)
         assert [a for a in g.arcs()] == [fwd, bwd]
+        assert repr(fwd) == "Arc(tail='U', head='V', weight=9)"
+        with pytest.raises(AttributeError):
+            fwd.weight = 1
 
     def test_parallel_arcs_allowed(self):
         g = Graph()

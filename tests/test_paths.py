@@ -10,14 +10,16 @@ from prefixpq import (
     PTrieConfig,
     format_trace_event,
     format_walk,
+    mst_prim,
     parse_graph,
     sdsp,
     sssp,
     sssp_trace,
     walk,
 )
+from prefixpq.cli import main
 from prefixpq.fixtures import fixture_text
-from prefixpq.oracles import brute_force_best_path, dijkstra_heap
+from prefixpq.oracles import StableListPQ, brute_force_best_path, dijkstra_heap
 from prefixpq.schemas import trace_to_dict, validate_payload
 
 
@@ -41,6 +43,23 @@ def random_digraph(rng, n_vertices, n_arcs, max_weight):
             rng.choice(labels), rng.choice(labels), rng.randrange(max_weight + 1)
         )
     return g
+
+
+def prim_queueing_every_arc(g, root):
+    """Prim that queues every out-arc and rejects settled heads at extraction."""
+    queue = StableListPQ()
+    in_tree = {root}
+    edges = []
+    for arc in g.arcs_from(root):
+        queue.insert(arc.weight, arc)
+    while len(queue):
+        _, arc = queue.delete_min()
+        if arc.head not in in_tree:
+            in_tree.add(arc.head)
+            edges.append((arc.tail, arc.head, arc.weight))
+            for out in g.arcs_from(arc.head):
+                queue.insert(out.weight, out)
+    return tuple(edges)
 
 
 class TestFig6:
@@ -236,6 +255,23 @@ class TestAgainstOracles:
                 else:
                     assert tree.dist[v] == best[0]
 
+    @pytest.mark.parametrize("m,k", [(32, 4), (16, 4)])
+    def test_skipping_settled_heads_changes_no_answer(self, m, k):
+        # weights in {0, 1, 2}, parallel arcs and self-loops make many ties;
+        # sssp_trace still queues every out-arc, settled heads included
+        rng = random.Random(4000 + m)
+        cfg = PTrieConfig(m, k)
+        for _ in range(60):
+            g = random_digraph(rng, rng.randrange(1, 25), rng.randrange(0, 100), 2)
+            v = rng.choice(g.vertices())
+            fast, (slow, _) = sssp(g, v, cfg), sssp_trace(g, v, cfg)
+            assert (fast.dist, fast.hops, fast.back) == (slow.dist, slow.hops, slow.back)
+            into, (rev, _) = sdsp(g, v, cfg), sssp_trace(g.reverse(), v, cfg)
+            assert (into.dist, into.hops, into.back) == (rev.dist, rev.hops, rev.back)
+            span = mst_prim(g, v, cfg)
+            assert span.edges == prim_queueing_every_arc(g, v)
+            assert span.total_weight == sum(w for _, _, w in span.edges)
+
     def test_fixture_hop_counts_are_minimal_among_cheapest(self, demo, fig6):
         for g, src in ((demo, "A"), (fig6, "A")):
             tree = sssp(g, src)
@@ -288,3 +324,26 @@ class TestPathSumsAtTheKeyWidth:
         ):
             with pytest.raises(GraphError, match=message):
                 solve()
+
+    @pytest.mark.parametrize("m,k", [(16, 4), (32, 4)])
+    def test_sum_past_the_top_key_into_a_settled_vertex(
+        self, m, k, tmp_path, capsys
+    ):
+        # B->A sums to top + 1, but A is settled before B: sssp and sdsp
+        # never queue that arc, the trace queues it and cannot key it
+        top = (1 << m) - 1
+        text = f"v A\nv B\na A B {top}\na B A 1\n"
+        g = parse_graph(text, m)
+        cfg = PTrieConfig(m, k)
+        assert sssp(g, "A", cfg).dist == dijkstra_heap(g, "A") == {"A": 0, "B": top}
+        for dest in ("A", "B"):
+            assert sdsp(g, dest, cfg).dist == dijkstra_heap(g.reverse(), dest)
+        message = rf"path weight {top + 1} exceeds the {m}-bit key range \(--m {m}\)"
+        with pytest.raises(GraphError, match=message):
+            sssp_trace(g, "A", cfg)
+        path = tmp_path / "settled.g"
+        path.write_text(text)
+        argv = ["--input", str(path), "--source", "A", "--m", str(m), "--k", str(k)]
+        assert main(["sssp", *argv]) == 0
+        assert main(["trace", *argv]) == 2
+        assert f"path weight {top + 1}" in capsys.readouterr().err
