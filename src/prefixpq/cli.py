@@ -70,17 +70,17 @@ def _config(args: argparse.Namespace) -> PTrieConfig:
     return PTrieConfig(word_bits=args.m, stride_bits=args.k)
 
 
-def _add_trie_options(p: argparse.ArgumentParser) -> None:
+def _add_common_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--m", type=int, default=32, metavar="BITS",
                    help="key width in bits (default 32)")
     p.add_argument("--k", type=int, default=4, metavar="BITS",
                    help="chunk width in bits, divides --m (default 4)")
+    p.add_argument("--json", action="store_true", help="emit a JSON payload")
 
 
-def _emit(args: argparse.Namespace, kind: str, payload: dict[str, Any],
+def _emit(args: argparse.Namespace, payload: dict[str, Any],
           text: Callable[[], str]) -> None:
     if args.json:
-        schemas.validate_payload(kind, payload)
         sys.stdout.write(schemas.dump_payload(payload))
     else:
         sys.stdout.write(text())
@@ -97,7 +97,7 @@ def _cmd_mst(args: argparse.Namespace) -> int:
         lines.append(f"spans_all {'true' if result.spans_all else 'false'}")
         return "\n".join(lines) + "\n"
 
-    _emit(args, "mst", schemas.mst_to_dict(result), text)
+    _emit(args, schemas.mst_to_dict(result), text)
     return 0
 
 
@@ -121,18 +121,15 @@ def _tree_text(tree, g: Graph, walk_from: str | None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_sssp(args: argparse.Namespace) -> int:
+def _cmd_paths(args: argparse.Namespace) -> int:
     g = _load(args.input, args.m)
-    tree = sssp(g, args.source, _config(args))
-    _emit(args, "path-tree", schemas.path_tree_to_dict(tree, g),
-          lambda: _tree_text(tree, g, args.walk))
-    return 0
-
-
-def _cmd_sdsp(args: argparse.Namespace) -> int:
-    g = _load(args.input, args.m)
-    tree = sdsp(g, args.dest, _config(args))
-    _emit(args, "path-tree", schemas.path_tree_to_dict(tree, g),
+    if args.walk is not None and args.walk not in g:
+        raise GraphError(f"unknown vertex {args.walk!r}")
+    if args.command == "sssp":
+        tree = sssp(g, args.source, _config(args))
+    else:
+        tree = sdsp(g, args.dest, _config(args))
+    _emit(args, schemas.path_tree_to_dict(tree, g),
           lambda: _tree_text(tree, g, args.walk))
     return 0
 
@@ -146,7 +143,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         lines.append(f"settled {len(tree.dist)} of {g.vertex_count}")
         return "\n".join(lines) + "\n"
 
-    _emit(args, "trace", schemas.trace_to_dict(args.source, events), text)
+    _emit(args, schemas.trace_to_dict(args.source, events), text)
     return 0
 
 
@@ -201,7 +198,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                 f"elapsed={r.elapsed_s:.3f}s (informational)\n"
             )
 
-    _emit(args, "bench", report.to_dict(), text)
+    _emit(args, report.to_dict(), text)
     return 0
 
 
@@ -237,7 +234,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         lines.append(f"prob_mass_check {mass!r}")
         return "\n".join(lines) + "\n"
 
-    _emit(args, "analyze", payload, text)
+    _emit(args, payload, text)
     return 0
 
 
@@ -254,8 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="minimum spanning tree via Prim")
     p.add_argument("--input", required=True, help="graph file or fixture name")
     p.add_argument("--root", required=True, help="vertex to grow the tree from")
-    _add_trie_options(p)
-    p.add_argument("--json", action="store_true", help="emit a JSON payload")
+    _add_common_options(p)
     p.set_defaults(func=_cmd_mst)
 
     p = sub.add_parser("sssp",
@@ -264,9 +260,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--source", required=True, help="source vertex")
     p.add_argument("--walk", metavar="VERTEX",
                    help="also print the back-chain from this vertex")
-    _add_trie_options(p)
-    p.add_argument("--json", action="store_true", help="emit a JSON payload")
-    p.set_defaults(func=_cmd_sssp)
+    _add_common_options(p)
+    p.set_defaults(func=_cmd_paths)
 
     p = sub.add_parser("sdsp",
                        help="shortest paths into a destination")
@@ -274,9 +269,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dest", required=True, help="destination vertex")
     p.add_argument("--walk", metavar="VERTEX",
                    help="also print the back-chain from this vertex")
-    _add_trie_options(p)
-    p.add_argument("--json", action="store_true", help="emit a JSON payload")
-    p.set_defaults(func=_cmd_sdsp)
+    _add_common_options(p)
+    p.set_defaults(func=_cmd_paths)
 
     p = sub.add_parser("trace",
                        help="sssp with a per-extraction log")
@@ -284,8 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--source", required=True, help="source vertex")
     p.add_argument("--verbose", action="store_true",
                    help="include the queue snapshot under every step")
-    _add_trie_options(p)
-    p.add_argument("--json", action="store_true", help="emit a JSON payload")
+    _add_common_options(p)
     p.set_defaults(func=_cmd_trace)
 
     p = sub.add_parser("bench",
@@ -303,8 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="graph size for the dijkstra mode")
     p.add_argument("--arcs", type=int, default=10_000,
                    help="arc count for the dijkstra mode")
-    _add_trie_options(p)
-    p.add_argument("--json", action="store_true", help="emit a JSON payload")
+    _add_common_options(p)
     p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("analyze",
@@ -315,8 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="levels to report (default: all)")
     p.add_argument("--trials", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
-    _add_trie_options(p)
-    p.add_argument("--json", action="store_true", help="emit a JSON payload")
+    _add_common_options(p)
     p.set_defaults(func=_cmd_analyze)
 
     return parser

@@ -7,11 +7,12 @@ The text format is line oriented and whitespace delimited:
     a <tail> <head> <weight>  directed arc
     e <u> <v> <weight>        undirected edge, expands to u->v then v->u
 
-Vertices must be declared before arcs mention them.  Weights are decimal,
-nonnegative, and must fit the graph's key width so they can serve directly
-as queue keys.  Parsing and serialization round-trip: vertex order, arc
-order and weights all survive, and adjacency lists iterate in exactly that
-order, which pins down tie-breaking in every consumer.
+Vertices must be declared before arcs mention them.  Weights are plain
+ASCII digits (no sign, underscore or other script's digits) and must fit
+the graph's key width so they can serve directly as queue keys.  Parsing
+and serialization round-trip: vertex order, arc order and weights all
+survive, and adjacency lists iterate in exactly that order, which pins
+down tie-breaking in every consumer.
 """
 
 from __future__ import annotations
@@ -146,11 +147,14 @@ def parse_graph(text: str | Iterable[str], word_bits: int = 32) -> Graph:
                 raise GraphParseError(
                     line_no, f"{kind!r} line needs tail, head and weight"
                 )
+            w = fields[3]
             try:
-                weight = int(fields[3], 10)
+                if not (w.isascii() and w.isdigit()):
+                    raise ValueError(w)
+                weight = int(w)  # also ValueError past int()'s digit limit
             except ValueError:
                 raise GraphParseError(
-                    line_no, f"weight {fields[3]!r} is not a decimal integer"
+                    line_no, f"weight {w!r} is not a decimal integer"
                 ) from None
             try:
                 if kind == "a":
@@ -165,8 +169,15 @@ def parse_graph(text: str | Iterable[str], word_bits: int = 32) -> Graph:
 
 
 def load_graph(path: str, word_bits: int = 32) -> Graph:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_graph(fh.read(), word_bits)
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the valid prefix, numbered the way parse_graph numbers lines
+        line_no = len((data[: exc.start].decode("utf-8") + "x").splitlines())
+        raise GraphParseError(line_no, "not UTF-8 text") from None
+    return parse_graph(text, word_bits)
 
 
 def serialize_graph(g: Graph) -> str:

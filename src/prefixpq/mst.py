@@ -38,20 +38,28 @@ def mst_prim(g: Graph, root: str, config: PTrieConfig | None = None) -> MstResul
     total = 0
     insert = queue.insert
     delete_min = queue.delete_min
-    for arc in g.arcs_from(root):
-        if arc.head not in in_tree:
-            insert(arc.weight, arc)
-    while queue.count:
-        weight, arc = delete_min()
-        head = arc.head
-        if head in in_tree:
-            continue
-        in_tree.add(head)
-        edges.append((arc.tail, head, weight))
-        total += weight
-        for out in g.arcs_from(head):
+    try:
+        for out in g.arcs_from(root):
             if out.head not in in_tree:
                 insert(out.weight, out)
+        while queue.count:
+            weight, arc = delete_min()
+            head = arc.head
+            if head in in_tree:
+                continue
+            in_tree.add(head)
+            edges.append((arc.tail, head, weight))
+            total += weight
+            for out in g.arcs_from(head):
+                if out.head not in in_tree:
+                    insert(out.weight, out)
+    except ValueError:
+        # only an insert raises: the graph's key width is wider than the
+        # queue's, and this arc's weight does not fit the queue
+        m = queue.config.word_bits
+        raise GraphError(
+            f"arc weight {out.weight} exceeds the {m}-bit key range (--m {m})"
+        ) from None
     return MstResult(
         root=root,
         edges=tuple(edges),

@@ -95,9 +95,9 @@ def _start(
 
 
 def _key_overflow(queue: PTrie, path_weight: int) -> GraphError:
-    # only a relaxation's insert raises ValueError inside the solver loops:
-    # its path sum outgrew the key width, which no single arc weight check
-    # can rule out
+    # only an insert raises ValueError inside the solver loops: its path sum
+    # outgrew the key width, which no single arc weight check can rule out,
+    # or a source arc's weight is wider than a narrower queue config
     m = queue.config.word_bits
     return GraphError(
         f"path weight {path_weight} exceeds the {m}-bit key range (--m {m})"
@@ -112,10 +112,11 @@ def sssp(g: Graph, source: str, config: PTrieConfig | None = None) -> PathTree:
     hops = tree.hops
     insert = queue.insert
     delete_min = queue.delete_min
-    for arc in g.arcs_from(source):
-        if arc.head not in back:
-            insert(arc.weight, arc)
     try:
+        for arc in g.arcs_from(source):
+            if arc.head not in back:
+                pw = arc.weight
+                insert(pw, arc)
         while queue.count:
             base, arc = delete_min()
             head = arc.head
@@ -138,13 +139,14 @@ def sssp_trace(
 ) -> tuple[PathTree, list[TraceEvent]]:
     """Like ``sssp`` but also return the full extraction log."""
     queue, tree = _start(g, source, config)
-    for arc in g.arcs_from(source):
-        queue.insert(arc.weight, QueueEntry(arc.weight, arc.weight, source, arc.head))
     back = tree.back
     dist = tree.dist
     hops = tree.hops
     events: list[TraceEvent] = []
     try:
+        for arc in g.arcs_from(source):
+            pw = arc.weight
+            queue.insert(pw, QueueEntry(pw, pw, source, arc.head))
         while queue.count:
             snapshot = tuple(entry for _, entry in queue)
             _, entry = queue.delete_min()

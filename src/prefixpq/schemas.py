@@ -1,8 +1,8 @@
 """JSON forms of the result types, plus the schemas that pin them down.
 
 Every CLI ``--json`` payload is produced by a converter here and must
-validate against the matching schema; the test suite enforces both
-directions.  Converters are deterministic: no timestamps, no wall-clock
+validate against the matching schema; the test suite checks that, the CLI
+does not.  Converters are deterministic: no timestamps, no wall-clock
 readings, no unordered container iteration, so equal inputs yield equal
 bytes once serialized with sorted keys.
 """
@@ -252,7 +252,7 @@ SCHEMAS = {
 
 def validate_payload(kind: str, payload: dict[str, Any]) -> None:
     """Raise jsonschema.ValidationError unless ``payload`` fits ``kind``."""
-    # imported here so that only the --json paths pay for loading it
+    # jsonschema is a test dependency: only the test suite calls this
     import jsonschema
 
     jsonschema.validate(payload, SCHEMAS[kind])

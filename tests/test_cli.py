@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -85,6 +86,22 @@ class TestPaths:
         code, out, _ = run(capsys, "sdsp", "--input", str(path), "--dest", "A")
         assert code == 0
         assert "vertex B unreachable" in out
+
+    @pytest.mark.parametrize("cmd", [["sssp", "--source", "A"],
+                                     ["sdsp", "--dest", "A"]])
+    def test_walk_from_an_unknown_vertex_is_input_error(
+        self, capsys, tmp_path, cmd
+    ):
+        path = tmp_path / "tiny.g"
+        path.write_text("v A\nv B\nv C\na A B 1\na B A 1\n")
+        for walk_json in (["--walk", "ZZ"], ["--walk", "ZZ", "--json"]):
+            code, out, err = run(capsys, *cmd, "--input", str(path), *walk_json)
+            assert (code, out) == (2, "")
+            assert "unknown vertex 'ZZ'" in err
+        # a known vertex the tree never reached still renders
+        code, out, _ = run(capsys, *cmd, "--input", str(path), "--walk", "C")
+        assert code == 0
+        assert out.endswith("walk C: unreachable\n")
 
 
 class TestTrace:
@@ -238,6 +255,13 @@ class TestExitCodes:
         assert code == 2
         assert "line 2" in captured.err
 
+    def test_graph_that_is_not_utf8_is_input_error(self, capsys, tmp_path):
+        bad = tmp_path / "bad.g"
+        bad.write_bytes(b"v A\nv \xff\n")
+        code, out, err = run(capsys, "sssp", "--input", str(bad), "--source", "A")
+        assert (code, out) == (2, "")
+        assert "line 2: not UTF-8 text" in err
+
     def test_unknown_vertex_is_input_error(self, capsys):
         assert main(["sssp", "--input", "fig6.g", "--source", "Q"]) == 2
 
@@ -300,6 +324,7 @@ with contextlib.redirect_stdout(io.StringIO()):
     codes.append(main(["trace", "--input", "demo.g", "--source", "A"]))
     seen.append(loaded())
     codes.append(main(["sssp", "--input", "fig6.g", "--source", "A", "--json"]))
+    codes.append(main(["trace", "--input", "demo.g", "--source", "A", "--json"]))
     seen.append(loaded())
 print(json.dumps({"codes": codes, "seen": seen}))
 """
@@ -313,11 +338,37 @@ def test_runtime_import_set(tmp_path):
                           env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     got = json.loads(proc.stdout)
-    assert got["codes"] == [0, 0, 0]
+    assert got["codes"] == [0, 0, 0, 0]
     after_import, after_text, after_json = got["seen"]
     assert "numpy" not in after_import
     assert after_text == []
-    assert "jsonschema" in after_json
+    assert after_json == []
+
+
+def test_random_graph_payloads_fit_their_schemas(capsys, tmp_path):
+    # the CLI prints --json payloads without checking them; this checks the
+    # graph commands on weight ties, parallel arcs, self-loops and a vertex
+    # no arc touches
+    rng = random.Random(15)
+    for i in range(30):
+        labels = [f"v{j}" for j in range(rng.randrange(2, 9))]
+        ends = [(rng.choice(labels), rng.choice(labels))
+                for _ in range(rng.randrange(1, 3 * len(labels)))]
+        ends += [(labels[0], labels[0]), ends[0]]
+        text = "".join(f"v {v}\n" for v in labels + ["lone"])
+        text += "".join(f"a {t} {h} {rng.randrange(3)}\n" for t, h in ends)
+        path = tmp_path / f"g{i}.g"
+        path.write_text(text)
+        src = rng.choice(labels)
+        for kind, argv in (
+            ("mst", ["mst", "--root", src]),
+            ("path-tree", ["sssp", "--source", src]),
+            ("path-tree", ["sdsp", "--dest", src]),
+            ("trace", ["trace", "--source", src]),
+        ):
+            code, out, err = run(capsys, *argv, "--input", str(path), "--json")
+            assert code == 0, err
+            validate_payload(kind, json.loads(out))
 
 
 class TestSchemas:

@@ -157,6 +157,9 @@ class TestParsing:
             ("v A\nv B\na A B\n", 3),
             ("v A\nv B\na A B ten\n", 3),
             ("v A\nv B\na A B -2\n", 3),
+            ("v A\nv B\na A B 1_000\n", 3),
+            ("v A\nv B\na A B +7\n", 3),
+            ("v A\nv B\na A B \uff11\uff12\n", 3),  # full-width digits
             ("v A\nv B\n\n# c\na A B 99999999999\n", 5),
             ("v\n", 1),
             ("v A B\n", 1),

@@ -325,6 +325,16 @@ class TestPathSumsAtTheKeyWidth:
             with pytest.raises(GraphError, match=message):
                 solve()
 
+    @pytest.mark.parametrize("solve", [sssp, sssp_trace, mst_prim])
+    def test_arc_weight_wider_than_the_queue_is_a_graph_error(self, solve):
+        # the graph parses at 32 bits; the weight fails on the 16-bit queue
+        # when the source's own arcs are queued
+        g = parse_graph("v A\nv B\nv C\na A B 70000\na B C 70000\n")
+        cfg = PTrieConfig(16, 4)
+        with pytest.raises(GraphError, match=r"70000 .*\(--m 16\)"):
+            solve(g, "A", cfg)
+        assert sdsp(g, "A", cfg).dist == dijkstra_heap(g.reverse(), "A")
+
     @pytest.mark.parametrize("m,k", [(16, 4), (32, 4)])
     def test_sum_past_the_top_key_into_a_settled_vertex(
         self, m, k, tmp_path, capsys
