@@ -8,10 +8,10 @@ chunk prefixes of length L are themselves uniform over ``P**L`` patterns
   exactly ``count`` of the N keys land in one fixed length-L prefix class.
 * ``expected_layers_at_level(n, degree, level)`` -- expected number of
   layers in use at chunk depth L below the root (``level`` 0 is the root,
-  which exists whenever at least two distinct stored keys exist).  A layer
-  lives at depth L exactly when at least two keys share its length-L
-  prefix, so the expectation is ``P**L`` times the per-prefix probability
-  of a 2+ collision, written in closed form below.
+  which ``PTrie`` always allocates, so it counts 1 for every n, empty tries
+  included).  A layer lives at depth L >= 1 exactly when at least two keys
+  share its length-L prefix, so the expectation is ``P**L`` times the
+  per-prefix probability of a 2+ collision, written in closed form below.
 
 ``monte_carlo_layer_counts`` cross-checks the model against the real
 structure: it builds tries from random keys and counts live layers per
@@ -29,7 +29,7 @@ import random
 import sys
 from dataclasses import dataclass
 
-from .ptrie import Layer, LeafNode, PTrie, PTrieConfig
+from .ptrie import Layer, PTrie, PTrieConfig
 
 
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
@@ -74,15 +74,15 @@ def prob_exact_occupancy(n: int, degree: int, level: int, count: int) -> float:
 def expected_layers_at_level(n: int, degree: int, level: int) -> float:
     """E[layers at depth ``level``] = P**L (1-(1-P**-L)**n) - n (1-P**-L)**(n-1).
 
-    Depth 0 is the root: present as a layer exactly when two or more
-    distinct keys exist, so the expectation is the collision indicator
-    there (0 for n < 2, 1 for n >= 2).  Deeper terms are evaluated through
+    Depth 0 is the root, which a ``PTrie`` allocates up front, so the
+    expectation there is 1 for every n -- the count that
+    ``count_layers_per_level`` observes.  Deeper terms are evaluated through
     ``log1p``/``expm1`` to survive the near-cancellation at small hit
     probabilities.
     """
     _check_common(n, degree, level)
     if level == 0:
-        return 1.0 if n >= 2 else 0.0
+        return 1.0
     if n < 2:
         return 0.0
     r = float(degree) ** (-level)
@@ -123,13 +123,12 @@ def layer_count_std_bound(n: int, degree: int, level: int) -> float:
 def count_layers_per_level(trie: PTrie) -> list[int]:
     """Live layers at each depth 0..depth_max-1 by direct traversal."""
     counts = [0] * trie.config.depth_max
-    stack: list[Layer] = [trie.root]
-    while stack:
-        layer = stack.pop()
-        counts[layer.level - 1] += 1
-        for slot in layer.slots:
-            if slot is not None and type(slot) is not LeafNode:
-                stack.append(slot)
+    frontier = [trie.root]
+    depth = 0
+    while frontier:
+        counts[depth] = len(frontier)
+        frontier = [s for ly in frontier for s in ly.slots if type(s) is Layer]
+        depth += 1
     return counts
 
 

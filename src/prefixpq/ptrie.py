@@ -29,12 +29,17 @@ Per-layer bookkeeping kept alongside the slot array:
   maintained on every mutation so that splicing a new leaf next to a
   neighboring subtree needs no descent.
 
-Every mutating or searching operation refreshes ``last_op_stats`` with the
-number of layers it touched and the number of ordered-set operations it
-charged; ``OpStats.primitive_steps`` folds those into the cost model used by
-the benchmark (each ordered-set operation costs ``stride_bits`` comparisons).
-For any legal configuration the step count of a single operation is bounded
-by ``word_bits // stride_bits + stride_bits``.
+A layer stores no level of its own: its depth is the number of slots
+followed from the root to reach it.  Lookups make one descent, in
+``find_node``; ``search`` and ``remove`` both start from it, and ``insert``
+keeps its own descent because it pushes residents down as it goes.
+
+Every mutating or searching operation, ``find_node`` included, refreshes
+``last_op_stats`` with the number of layers it touched and the number of
+ordered-set operations it charged; ``OpStats.primitive_steps`` folds those
+into the cost model used by the benchmark (each ordered-set operation costs
+``stride_bits`` comparisons).  For any legal configuration the step count of
+a single operation is bounded by ``word_bits // stride_bits + stride_bits``.
 
 The structure is single-writer: no locking, and mutating it from concurrent
 threads or from inside an iteration is unsupported.
@@ -139,17 +144,16 @@ def _queued(leaf: LeafNode) -> int:
 class Layer:
     """One slot array plus its occupancy bitmask and subtree extrema."""
 
-    __slots__ = ("level", "slots", "occupied", "min_leaf", "max_leaf")
+    __slots__ = ("slots", "occupied", "min_leaf", "max_leaf")
 
-    def __init__(self, level: int, degree: int) -> None:
-        self.level = level
+    def __init__(self, degree: int) -> None:
         self.slots: list[Any] = [None] * degree
         self.occupied = 0
         self.min_leaf: LeafNode | None = None
         self.max_leaf: LeafNode | None = None
 
     def __repr__(self) -> str:
-        return f"Layer(level={self.level}, occupied={self.occupied:#x})"
+        return f"Layer(occupied={self.occupied:#x})"
 
 
 class OpStats:
@@ -159,7 +163,9 @@ class OpStats:
     included); ``index_ops`` counts charged ordered-set operations on a
     layer's occupancy set -- at most one per insert (the placement
     neighbor query) and one per remove (clearing the branch-point slot).
-    ``nodes_spliced`` counts linked-list splice/unsplice events.
+    ``nodes_spliced`` counts linked-list splice/unsplice events; every leaf
+    created or dropped is exactly one splice and one ordered-set operation,
+    so it is read-only and equals ``index_ops``.
 
     ``primitive_steps`` is the benchmark cost: one step per layer visited
     plus ``stride_bits`` steps per ordered-set operation, since a scan of a
@@ -167,13 +173,16 @@ class OpStats:
     word-sized probes.
     """
 
-    __slots__ = ("stride_bits", "layers_visited", "index_ops", "nodes_spliced")
+    __slots__ = ("stride_bits", "layers_visited", "index_ops")
 
     def __init__(self, stride_bits: int) -> None:
         self.stride_bits = stride_bits
         self.layers_visited = 0
         self.index_ops = 0
-        self.nodes_spliced = 0
+
+    @property
+    def nodes_spliced(self) -> int:
+        return self.index_ops
 
     @property
     def primitive_steps(self) -> int:
@@ -183,7 +192,6 @@ class OpStats:
         dup = OpStats(self.stride_bits)
         dup.layers_visited = self.layers_visited
         dup.index_ops = self.index_ops
-        dup.nodes_spliced = self.nodes_spliced
         return dup
 
     def __repr__(self) -> str:
@@ -227,7 +235,6 @@ class PTrie:
         "_degree",
         "_depth_max",
         "_path",
-        "_path_slots",
     )
 
     def __init__(self, config: PTrieConfig | None = None) -> None:
@@ -241,14 +248,13 @@ class PTrie:
         self._shifts = tuple(
             cfg.word_bits - cfg.stride_bits * (d + 1) for d in range(cfg.depth_max)
         )
-        self.root = Layer(1, self._degree)
+        self.root = Layer(self._degree)
         self.head: LeafNode | None = None
         self.tail: LeafNode | None = None
         self.count = 0
         self.last_op_stats = OpStats(cfg.stride_bits)
-        # reusable descent scratch, safe under the single-writer contract
+        # reusable insert-descent buffer, safe under the single-writer contract
         self._path: list[Layer] = [self.root] * self._depth_max
-        self._path_slots = [0] * self._depth_max
 
     # ------------------------------------------------------------------ core
 
@@ -273,7 +279,6 @@ class PTrie:
         st = self.last_op_stats
         st.layers_visited = 1
         st.index_ops = 0
-        st.nodes_spliced = 0
         shifts = self._shifts
         cmask = self._chunk_mask
         path = self._path
@@ -300,7 +305,7 @@ class PTrie:
                 # down and retry there
                 if depth + 1 >= self._depth_max:
                     raise RuntimeError("distinct keys collide at maximum depth")
-                child = Layer(layer.level + 1, self._degree)
+                child = Layer(self._degree)
                 oc = (slot.key >> shifts[depth + 1]) & cmask
                 child.slots[oc] = slot
                 child.occupied = 1 << oc
@@ -340,7 +345,7 @@ class PTrie:
         """
         leaf = LeafNode(key, payload, depth)
         occ = layer.occupied
-        st.index_ops += 1
+        st.index_ops = 1
         lower = occ & ((1 << c) - 1)
         if lower:
             nb = layer.slots[lower.bit_length() - 1]
@@ -384,42 +389,22 @@ class PTrie:
                 layer.max_leaf = leaf
         layer.slots[c] = leaf
         layer.occupied = occ | (1 << c)
-        st.nodes_spliced += 1
 
     def remove(self, key: int) -> Any:
         """Dequeue the oldest payload filed under ``key``.
 
-        Returns ``ABSENT`` when the key is not stored.  When the dequeue
-        empties the leaf, the leaf is unlinked and the occupancy bit is
-        cleared at the deepest surviving branch point; any single-occupancy
-        chain hanging below it is dropped wholesale rather than walked.
+        Returns ``ABSENT`` when the key is not stored.  The lookup is
+        ``find_node``'s descent, so a miss or a pop from a multi-payload
+        leaf charges exactly what that descent charged.  When the dequeue
+        empties the leaf, the leaf is unlinked and one walk from the root
+        along its key refreshes the subtree extrema it held and finds the
+        deepest layer with two or more occupied slots (or the root); that
+        branch point's slot is cleared, and the single-occupancy chain
+        hanging below it drops with the leaf rather than being walked.
         """
-        self._check_key(key)
-        st = self.last_op_stats
-        st.layers_visited = 1
-        st.index_ops = 0
-        st.nodes_spliced = 0
-        shifts = self._shifts
-        cmask = self._chunk_mask
-        path = self._path
-        pslots = self._path_slots
-        layer = self.root
-        depth = 0
-        while True:
-            c = (key >> shifts[depth]) & cmask
-            path[depth] = layer
-            pslots[depth] = c
-            slot = layer.slots[c]
-            if slot is None:
-                return ABSENT
-            if type(slot) is LeafNode:
-                if slot.key != key:
-                    return ABSENT
-                leaf = slot
-                break
-            layer = slot
-            depth += 1
-            st.layers_visited += 1
+        leaf = self.find_node(key)
+        if leaf is None:
+            return ABSENT
         payload = leaf.first
         self.count -= 1
         rest = leaf.rest
@@ -428,6 +413,7 @@ class PTrie:
             if not rest:
                 leaf.rest = None
             return payload
+        self.last_op_stats.index_ops = 1
         prv = leaf.prev
         nxt = leaf.next
         if prv is None:
@@ -438,42 +424,33 @@ class PTrie:
             self.tail = prv
         else:
             nxt.prev = prv
-        st.nodes_spliced += 1
-        j = depth
-        while j > 0 and path[j].occupied == (path[j].occupied & -path[j].occupied):
-            j -= 1
-        ly = path[j]
-        ly.occupied &= ~(1 << pslots[j])
-        ly.slots[pslots[j]] = None
-        st.index_ops += 1
-        for d in range(j + 1):
-            ly = path[d]
-            if ly.min_leaf is leaf:
-                ly.min_leaf = nxt
-            if ly.max_leaf is leaf:
-                ly.max_leaf = prv
+        shifts = self._shifts
+        cmask = self._chunk_mask
+        depth = leaf.depth
+        layer = branch = self.root
+        c = bc = (key >> shifts[0]) & cmask
+        d = 0
+        while True:
+            if layer.min_leaf is leaf:
+                layer.min_leaf = nxt
+            if layer.max_leaf is leaf:
+                layer.max_leaf = prv
+            occ = layer.occupied
+            if occ & (occ - 1):
+                branch = layer
+                bc = c
+            if d == depth:
+                break
+            layer = layer.slots[c]
+            d += 1
+            c = (key >> shifts[d]) & cmask
+        branch.occupied &= ~(1 << bc)
+        branch.slots[bc] = None
         return payload
 
     def search(self, key: int) -> bool:
-        """Pure membership probe; touches nothing."""
-        self._check_key(key)
-        st = self.last_op_stats
-        st.layers_visited = 1
-        st.index_ops = 0
-        st.nodes_spliced = 0
-        shifts = self._shifts
-        cmask = self._chunk_mask
-        layer = self.root
-        depth = 0
-        while True:
-            slot = layer.slots[(key >> shifts[depth]) & cmask]
-            if slot is None:
-                return False
-            if type(slot) is LeafNode:
-                return slot.key == key
-            layer = slot
-            depth += 1
-            st.layers_visited += 1
+        """Pure membership probe; touches nothing but ``last_op_stats``."""
+        return self.find_node(key) is not None
 
     def minimum(self) -> tuple[int, Any] | None:
         """Smallest key and its oldest payload, or None when empty.  O(1)."""
@@ -514,10 +491,8 @@ class PTrie:
             if not rest:
                 h.rest = None
             st.index_ops = 0
-            st.nodes_spliced = 0
             return (key, payload)
         st.index_ops = 1
-        st.nodes_spliced = 1
         nxt = h.next
         self.head = nxt
         if nxt is None:
@@ -558,20 +533,31 @@ class PTrie:
         return self.tail
 
     def find_node(self, key: int) -> LeafNode | None:
-        """The leaf storing ``key``, or None.  Same descent as ``search``."""
-        self._check_key(key)
+        """The leaf storing ``key``, or None.
+
+        This is the trie's one lookup descent; ``search`` and ``remove``
+        both run it.  It refreshes ``last_op_stats`` like any other
+        operation: one layer visited per level descended, no ordered-set
+        operation charged.
+        """
+        if type(key) is not int or not 0 <= key <= self._key_mask:
+            self._check_key(key)
         shifts = self._shifts
         cmask = self._chunk_mask
         layer = self.root
         depth = 0
         while True:
             slot = layer.slots[(key >> shifts[depth]) & cmask]
-            if slot is None:
-                return None
-            if type(slot) is LeafNode:
-                return slot if slot.key == key else None
+            if type(slot) is not Layer:
+                break
             layer = slot
             depth += 1
+        st = self.last_op_stats
+        st.layers_visited = depth + 1
+        st.index_ops = 0
+        if slot is None or slot.key != key:
+            return None
+        return slot
 
     def __iter__(self) -> Iterator[tuple[int, Any]]:
         """Yield ``(key, payload)`` pairs in exact drain order."""
@@ -597,7 +583,7 @@ class PTrie:
         """Audit every structural invariant; O(size), not for hot paths.
 
         Checks, in order: occupancy masks match slot contents, no empty
-        non-root layer, level numbering and depth bounds, every leaf sits
+        non-root layer, depth bounds, every leaf sits
         on its key's chunk path and records the depth it is filed at,
         subtree ``min_leaf``/``max_leaf`` caches are exact, no overflow
         deque is left empty, the linked list is doubly
@@ -613,28 +599,24 @@ class PTrie:
             return ValidationReport(False, msg, "")
 
         def walk(layer: Layer, depth: int) -> str | None:
-            expect_level = depth + 1
-            if layer.level != expect_level:
-                return f"level mismatch at depth {depth}: {layer.level}"
+            level = depth + 1
             if depth >= self._depth_max:
-                return f"layer deeper than depth_max at level {layer.level}"
+                return f"layer deeper than depth_max at level {level}"
             if len(layer.slots) != self._degree:
-                return f"slot array of wrong degree at level {layer.level}"
+                return f"slot array of wrong degree at level {level}"
             occ = 0
-            first_here: LeafNode | None = None
-            last_here: LeafNode | None = None
-            trail.append(b"L%d:%x" % (layer.level, layer.occupied))
+            before = len(leaves)
+            trail.append(b"L%d:%x" % (level, layer.occupied))
             for c, slot in enumerate(layer.slots):
                 if slot is None:
                     continue
                 occ |= 1 << c
-                before = len(leaves)
                 if type(slot) is LeafNode:
                     chunk = (slot.key >> self._shifts[depth]) & self._chunk_mask
                     if chunk != c:
                         return (
                             f"leaf {slot.key:#x} filed in slot {c} at "
-                            f"level {layer.level}"
+                            f"level {level}"
                         )
                     if slot.depth != depth:
                         return (
@@ -649,28 +631,18 @@ class PTrie:
                     err = walk(slot, depth + 1)
                     if err is not None:
                         return err
-                    if len(leaves) == before:
-                        return f"empty layer at level {slot.level}"
-                    sub = slot
-                    if sub.min_leaf is not leaves[before]:
-                        return f"min_leaf mismatch at level {sub.level}"
-                    if sub.max_leaf is not leaves[-1]:
-                        return f"max_leaf mismatch at level {sub.level}"
-                if first_here is None:
-                    first_here = leaves[before]
-                last_here = leaves[-1]
             if occ != layer.occupied:
                 return (
                     f"occupancy mask {layer.occupied:#x} != contents {occ:#x} "
-                    f"at level {layer.level}"
+                    f"at level {level}"
                 )
-            if layer is not self.root and occ == 0:
-                return f"empty layer at level {layer.level}"
-            if layer is self.root:
-                if self.root.min_leaf is not first_here:
-                    return "min_leaf mismatch at level 1"
-                if self.root.max_leaf is not last_here:
-                    return "max_leaf mismatch at level 1"
+            if occ == 0 and layer is not self.root:
+                return f"empty layer at level {level}"
+            held = len(leaves) > before
+            if layer.min_leaf is not (leaves[before] if held else None):
+                return f"min_leaf mismatch at level {level}"
+            if layer.max_leaf is not (leaves[-1] if held else None):
+                return f"max_leaf mismatch at level {level}"
             return None
 
         err = walk(self.root, 0)

@@ -117,9 +117,11 @@ class TestProbExactOccupancy:
 
 class TestExpectedLayers:
     def test_no_layers_below_two_keys(self):
-        for level in range(4):
-            assert expected_layers_at_level(0, 16, level) == 0.0
-            assert expected_layers_at_level(1, 16, level) == 0.0
+        # the root is always allocated, so only the deeper levels are empty
+        for n in (0, 1):
+            assert expected_layers_at_level(n, 16, 0) == 1.0
+            for level in range(1, 4):
+                assert expected_layers_at_level(n, 16, level) == 0.0
 
     def test_root_exists_from_two_keys(self):
         for n in (2, 3, 100):

@@ -1,17 +1,24 @@
 """Command-line behavior: outputs, JSON payloads, exit codes."""
 
+import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import prefixpq
 from prefixpq.cli import main
+from prefixpq.graphs import parse_graph
+from prefixpq.oracles import dijkstra_heap
 from prefixpq.schemas import SCHEMAS, validate_payload
 
 
@@ -218,6 +225,18 @@ class TestAnalyze:
         payload = json.loads(out)
         assert payload["prob_mass_check"] == pytest.approx(1.0, abs=1e-9)
 
+    def test_root_layer_counts_below_two_keys(self, capsys):
+        # the trie allocates its root up front, and the model counts it
+        code, out, _ = run(
+            capsys, "analyze", "--n", "1", "--trials", "3", "--levels", "2",
+            "--json",
+        )
+        assert code == 0
+        payload = json.loads(out)
+        root = payload["levels"][0]
+        assert root["expected"] == root["observed_mean"] == 1.0
+        assert payload["expected_total"] == payload["observed_total_mean"]
+
     def test_deterministic_for_seed(self, capsys):
         args = ("analyze", "--n", "64", "--trials", "25", "--seed", "5",
                 "--json")
@@ -379,3 +398,87 @@ class TestSchemas:
     def test_validate_payload_rejects_junk(self):
         with pytest.raises(jsonschema.ValidationError):
             validate_payload("mst", {"nope": 1})
+
+
+_LABELS = ("A", "B", "C", "D", "E")
+
+
+@st.composite
+def _cli_case(draw):
+    """Graph bytes, a subcommand and a vertex for it, and a legal --m/--k.
+
+    The graph is well formed apart from at most one bad line (a junk
+    directive, a bad weight or an undeclared endpoint) and maybe a stray
+    byte, so that most cases solve.
+    """
+    m, k = draw(st.sampled_from([(8, 4), (12, 3), (16, 2), (16, 4), (32, 4)]))
+    top = 1 << m
+    weight = st.one_of(
+        st.integers(0, 2),  # ties
+        st.integers(0, top - 1),
+        st.integers(top - 3, top - 1),  # sums run past the key width
+    ).map(str)
+    declared = draw(st.lists(st.sampled_from(_LABELS), unique=True,
+                             min_size=1, max_size=5))
+    known = st.sampled_from(declared)
+    any_label = st.sampled_from(_LABELS)
+    kind = st.sampled_from("ae")
+    line = st.tuples(kind, known, known, weight).map(" ".join) | st.just("# c")
+    lines = ["v " + v for v in declared] + draw(st.lists(line, max_size=8))
+    if draw(st.integers(0, 3)) == 2:
+        bad_weight = st.integers(top, top + 3).map(str) | st.sampled_from(
+            ["-1", "+3", "1_0", "x1", "\u0663"])
+        bad = st.one_of(
+            st.tuples(kind, known, known, bad_weight).map(" ".join),
+            st.tuples(kind, any_label, any_label, weight).map(" ".join),
+            st.sampled_from(["q A B 1", "v", "a A B", "v A B", "v A"]),
+        )
+        lines.insert(draw(st.integers(0, len(lines))), draw(bad))
+    data = "\n".join(lines).encode()
+    if draw(st.integers(0, 9)) == 5:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    command = draw(st.sampled_from(["sssp", "sdsp", "mst", "trace"]))
+    vertex = draw(st.one_of(known, known, known, any_label))
+    return m, k, data, command, vertex, draw(st.booleans())
+
+
+def _sum_overflows(g, source):
+    """Some arc out of a vertex reachable from ``source`` ends past the key width."""
+    dist = dijkstra_heap(g, source)
+    return any(d + arc.weight > g.max_weight
+               for v, d in dist.items() for arc in g.arcs_from(v))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_cli_case())
+def test_any_graph_text_solves_or_is_an_input_error(case):
+    m, k, data, command, vertex, as_json = case
+    flag = {"mst": "--root", "sdsp": "--dest"}.get(command, "--source")
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "g.g")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        argv = [command, "--input", path, flag, vertex, "--m", str(m),
+                "--k", str(k)]
+        if as_json or command == "sssp":
+            argv.append("--json")
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 2), err.getvalue()
+    if code == 2:
+        msg = err.getvalue()
+        if re.search(r"line \d+: |vertex '", msg):
+            return
+        # the one input error that names neither: a path sum past the key
+        # width, which must really happen on the way from the source
+        assert re.search(r"path weight \d+ exceeds", msg), msg
+        g = parse_graph(data.decode(), m)
+        assert _sum_overflows(g if command != "sdsp" else g.reverse(), vertex)
+        return
+    if command == "sssp":
+        got = {v: e["dist"]
+               for v, e in json.loads(out.getvalue())["vertices"].items()
+               if e["reachable"]}
+        assert got == dijkstra_heap(parse_graph(data.decode(), m), vertex)

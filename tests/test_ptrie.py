@@ -1,11 +1,14 @@
 """Core queue behavior: ordering, stability, structure, instrumentation."""
 
+import hashlib
+import random
 from collections import deque
 
 import pytest
 
 from helpers import run_differential
 from prefixpq import ABSENT, LeafNode, PTrie, PTrieConfig
+from prefixpq.analysis import count_layers_per_level
 from prefixpq.ptrie import Layer
 
 
@@ -28,7 +31,7 @@ class TestConfig:
         assert t.config.depth_max == 1
         for k in (0, 255, 17, 17):
             t.insert(k, k)
-        assert t.root.level == 1
+        assert count_layers_per_level(t) == [1]
         assert all(type(s) is not Layer for s in t.root.slots if s is not None)
         assert [k for k, _ in t] == [0, 17, 17, 255]
         assert t.validate().ok
@@ -81,7 +84,7 @@ class TestInsert:
         t.insert(0x10, "x")
         t.insert(0x1F, "y")
         child = t.root.slots[0x1]
-        assert type(child) is Layer and child.level == 2
+        assert type(child) is Layer and count_layers_per_level(t) == [1, 1]
         assert child.slots[0x0].key == 0x10
         assert child.slots[0xF].key == 0x1F
         assert t.head.key == 0x10 and t.tail.key == 0x1F
@@ -449,3 +452,60 @@ class TestDifferential:
     def test_other_geometries(self, m, k):
         verdict = run_differential(99, n_ops=1200, word_bits=m, stride_bits=k)
         assert verdict.matched, verdict.first_divergence
+
+
+# Pinned digest of the cost-model script below: every result, every
+# (layers_visited, index_ops, nodes_spliced) triple and a validate()
+# fingerprint every 100 ops.  A change to drain order, step counts or
+# trie shape changes it.
+_COST_MODEL_DIGEST = (
+    "4d84f50d62d57bd3c6fada8d5f74aee24f5207a42f4ce048ac9e444fe6562119"
+)
+_COST_MODEL_GEOMETRIES = [(8, 4), (16, 2), (32, 4), (32, 8), (64, 8), (12, 3)]
+
+
+def _cost_model_digest(n_ops=3000):
+    h = hashlib.sha256()
+    for m, k in _COST_MODEL_GEOMETRIES:
+        rng = random.Random(m * 100 + k)
+        t = make(m, k)
+        # few distinct keys, half of them sharing a long prefix, so leaves
+        # hold long FIFOs at every depth
+        base = rng.getrandbits(m)
+        pool = [rng.getrandbits(m) for _ in range(8)]
+        pool += [base ^ rng.getrandbits(min(m, 5)) for _ in range(8)]
+        for i in range(n_ops):
+            r = rng.random()
+            if r < 0.45:
+                res = t.insert(rng.choice(pool), i)
+            elif r < 0.65:
+                res = t.delete_min()
+            elif r < 0.85:
+                hit = rng.random() < 0.7
+                res = t.remove(rng.choice(pool) if hit else rng.getrandbits(m))
+            else:
+                hit = rng.random() < 0.5
+                res = t.search(rng.choice(pool) if hit else rng.getrandbits(m))
+            st = t.last_op_stats
+            assert st.nodes_spliced == st.index_ops
+            h.update(b"%r|%d,%d,%d;" % (
+                res, st.layers_visited, st.index_ops, st.nodes_spliced))
+            if i % 100 == 0:
+                h.update(t.validate().fingerprint.encode())
+        h.update(t.validate().fingerprint.encode())
+    return h.hexdigest()
+
+
+class TestCostModel:
+    def test_script_digest_and_find_node_stats(self):
+        assert _cost_model_digest() == _COST_MODEL_DIGEST
+        # find_node is the lookup that search and remove run, and it
+        # reports its own descent
+        t = make(8, 4)
+        for key in (0x10, 0x1F, 0xA0):
+            t.insert(key)
+        st = t.last_op_stats
+        for key, layers in [(0x10, 2), (0x1E, 2), (0xA0, 1), (0x50, 1)]:
+            st.layers_visited = st.index_ops = -1
+            t.find_node(key)
+            assert (st.layers_visited, st.index_ops) == (layers, 0)
