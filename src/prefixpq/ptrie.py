@@ -34,6 +34,18 @@ followed from the root to reach it.  Lookups make one descent, in
 ``find_node``; ``search`` and ``remove`` both start from it, and ``insert``
 keeps its own descent because it pushes residents down as it goes.
 
+Emptied leaves and layers are recycled: each trie keeps one free list of
+leaves and one of layers, each capped at ``FREE_LIST_CAP`` objects.  When
+``remove`` or ``delete_min`` takes a key's last payload, the leaf and the
+single-slot chain of layers that dropped with it are cleared and pushed;
+``insert`` pops from them before it allocates.  A queue whose size holds
+steady therefore allocates no trie objects, and the cyclic collector,
+which a flood of short-lived container objects keeps triggering, stays
+quiet.  Free objects hold no payload and no link, so they keep nothing
+alive.  A ``LeafNode`` handed out by ``first_node``, ``last_node`` or
+``find_node`` is only valid while its key is stored: once the key's last
+payload is removed, the same object may be filed again under another key.
+
 Every mutating or searching operation, ``find_node`` included, refreshes
 ``last_op_stats`` with the number of layers it touched and the number of
 ordered-set operations it charged; ``OpStats.primitive_steps`` folds those
@@ -63,6 +75,15 @@ class _Absent:
 
 
 ABSENT = _Absent()
+
+# Most emptied leaves, and most emptied layers, that one trie keeps for
+# reuse: enough to absorb the churn of a steady-state queue, small enough
+# that a drained trie holds on to little memory.
+FREE_LIST_CAP = 1024
+
+# Trail or order items hashed per ``sha256.update`` in ``validate``, so the
+# audit holds a bounded number of them, not one per key.
+_HASH_BATCH = 4096
 
 
 @dataclass(frozen=True)
@@ -111,8 +132,9 @@ class LeafNode:
     payloads, so a key stored once costs no deque.  ``depth`` is the
     0-based index of the layer the leaf is filed in (0 for the root).
     ``prev`` / ``next`` are the ascending-key linked-list neighbors; they
-    are the O(1) iterator steps and stay valid until the leaf's last
-    payload is removed.
+    are the O(1) iterator steps.  A leaf is valid until its key's last
+    payload is removed; the trie then clears it (no payload, no links) and
+    may file the same object under a later key.
     """
 
     __slots__ = ("key", "first", "rest", "depth", "prev", "next")
@@ -202,6 +224,10 @@ class OpStats:
         )
 
 
+class _Corrupt(Exception):
+    """A broken invariant found part-way through ``PTrie.validate``."""
+
+
 @dataclass(frozen=True)
 class ValidationReport:
     """Outcome of a structural audit plus a structure fingerprint."""
@@ -235,6 +261,8 @@ class PTrie:
         "_degree",
         "_depth_max",
         "_path",
+        "_free_leaves",
+        "_free_layers",
     )
 
     def __init__(self, config: PTrieConfig | None = None) -> None:
@@ -255,6 +283,9 @@ class PTrie:
         self.last_op_stats = OpStats(cfg.stride_bits)
         # reusable insert-descent buffer, safe under the single-writer contract
         self._path: list[Layer] = [self.root] * self._depth_max
+        # cleared leaves and layers awaiting reuse, each at most FREE_LIST_CAP
+        self._free_leaves: list[LeafNode] = []
+        self._free_layers: list[Layer] = []
 
     # ------------------------------------------------------------------ core
 
@@ -276,36 +307,36 @@ class PTrie:
         """File ``payload`` under ``key``; equal keys keep arrival order."""
         if type(key) is not int or not 0 <= key <= self._key_mask:
             self._check_key(key)
-        st = self.last_op_stats
-        st.layers_visited = 1
-        st.index_ops = 0
         shifts = self._shifts
         cmask = self._chunk_mask
-        path = self._path
+        path = self._path  # path[0] is always the root
         layer = self.root
         depth = 0
-        path[0] = layer
         while True:
             c = (key >> shifts[depth]) & cmask
             slot = layer.slots[c]
+            if type(slot) is Layer:
+                layer = slot
+                depth += 1
+                path[depth] = layer
+                continue
             if slot is None:
-                self._place(layer, c, key, payload, path, depth, st)
-                self.count += 1
-                return
-            if type(slot) is LeafNode:
-                if slot.key == key:
-                    rest = slot.rest
-                    if rest is None:
-                        slot.rest = deque((payload,))
-                    else:
-                        rest.append(payload)
-                    self.count += 1
-                    return
+                self._place(layer, c, key, payload, path, depth)
+                index_ops = 1
+            elif slot.key == key:
+                rest = slot.rest
+                if rest is None:
+                    slot.rest = deque((payload,))
+                else:
+                    rest.append(payload)
+                index_ops = 0
+            else:
                 # occupied by a different key: push the resident one level
                 # down and retry there
                 if depth + 1 >= self._depth_max:
                     raise RuntimeError("distinct keys collide at maximum depth")
-                child = Layer(self._degree)
+                free = self._free_layers
+                child = free.pop() if free else Layer(self._degree)
                 oc = (slot.key >> shifts[depth + 1]) & cmask
                 child.slots[oc] = slot
                 child.occupied = 1 << oc
@@ -314,11 +345,14 @@ class PTrie:
                 slot.depth += 1
                 layer.slots[c] = child
                 layer = child
-            else:
-                layer = slot
-            depth += 1
-            path[depth] = layer
-            st.layers_visited += 1
+                depth += 1
+                path[depth] = layer
+                continue
+            st = self.last_op_stats
+            st.layers_visited = depth + 1
+            st.index_ops = index_ops
+            self.count += 1
+            return
 
     def _place(
         self,
@@ -328,7 +362,6 @@ class PTrie:
         payload: Any,
         path: list[Layer],
         depth: int,
-        st: OpStats,
     ) -> None:
         """Put a fresh leaf into empty slot ``c`` and splice it into the list.
 
@@ -342,10 +375,19 @@ class PTrie:
         and since deeper subtrees nest in shallower ones the refresh stops
         at the first layer, walking up, where it was not.  A higher
         neighbor is the mirror case.
+
+        The leaf comes off the free list when one waits there; a free leaf
+        has no payload and no links, and the splice sets both links.
         """
-        leaf = LeafNode(key, payload, depth)
+        free = self._free_leaves
+        if free:
+            leaf = free.pop()
+            leaf.key = key
+            leaf.first = payload
+            leaf.depth = depth
+        else:
+            leaf = LeafNode(key, payload, depth)
         occ = layer.occupied
-        st.index_ops = 1
         lower = occ & ((1 << c) - 1)
         if lower:
             nb = layer.slots[lower.bit_length() - 1]
@@ -399,8 +441,8 @@ class PTrie:
         empties the leaf, the leaf is unlinked and one walk from the root
         along its key refreshes the subtree extrema it held and finds the
         deepest layer with two or more occupied slots (or the root); that
-        branch point's slot is cleared, and the single-occupancy chain
-        hanging below it drops with the leaf rather than being walked.
+        branch point's slot is cleared, and the leaf and the single-slot
+        chain of layers hanging below it go to the free lists.
         """
         leaf = self.find_node(key)
         if leaf is None:
@@ -445,7 +487,23 @@ class PTrie:
             d += 1
             c = (key >> shifts[d]) & cmask
         branch.occupied &= ~(1 << bc)
+        node = branch.slots[bc]
         branch.slots[bc] = None
+        # recycle the chain below the branch point: the walk above has
+        # visited and charged each of its layers
+        free = self._free_layers
+        while node is not leaf and len(free) < FREE_LIST_CAP:
+            oc = node.occupied.bit_length() - 1
+            below = node.slots[oc]
+            node.slots[oc] = None
+            node.occupied = 0
+            node.min_leaf = node.max_leaf = None
+            free.append(node)
+            node = below
+        free = self._free_leaves
+        if len(free) < FREE_LIST_CAP:
+            leaf.first = leaf.prev = leaf.next = None
+            free.append(leaf)
         return payload
 
     def search(self, key: int) -> bool:
@@ -474,7 +532,9 @@ class PTrie:
         along its key finds the deepest branch point: the head is the
         smallest leaf of every subtree on its path, so each of those layers
         takes ``next`` as its ``min_leaf``, and it is never their
-        ``max_leaf`` unless it was the last leaf of the whole trie.
+        ``max_leaf`` unless it was the last leaf of the whole trie.  The
+        leaf and the layers below the branch point are recycled as in
+        ``remove``.
         """
         h = self.head
         if h is None:
@@ -515,21 +575,41 @@ class PTrie:
             layer = layer.slots[c]
             d += 1
             c = (key >> shifts[d]) & cmask
-        # layers below the branch point drop with the leaf
         branch.occupied &= ~(1 << bc)
+        node = branch.slots[bc]
         branch.slots[bc] = None
         if nxt is None:
             self.root.max_leaf = None
+        free = self._free_layers
+        while node is not h and len(free) < FREE_LIST_CAP:
+            oc = node.occupied.bit_length() - 1
+            below = node.slots[oc]
+            node.slots[oc] = None
+            node.occupied = 0
+            node.min_leaf = node.max_leaf = None
+            free.append(node)
+            node = below
+        free = self._free_leaves
+        if len(free) < FREE_LIST_CAP:
+            h.first = h.next = None
+            free.append(h)
         return (key, payload)
 
     # ------------------------------------------------------------- iteration
 
     def first_node(self) -> LeafNode | None:
-        """Leaf with the smallest key; ``node.next`` walks ascending keys."""
+        """Leaf with the smallest key; ``node.next`` walks ascending keys.
+
+        The leaf is valid while its key is stored: after the key's last
+        payload is removed the object may be reused for another key.
+        """
         return self.head
 
     def last_node(self) -> LeafNode | None:
-        """Leaf with the largest key; ``node.prev`` walks descending keys."""
+        """Leaf with the largest key; ``node.prev`` walks descending keys.
+
+        Valid for as long as ``first_node``'s leaf is.
+        """
         return self.tail
 
     def find_node(self, key: int) -> LeafNode | None:
@@ -538,7 +618,8 @@ class PTrie:
         This is the trie's one lookup descent; ``search`` and ``remove``
         both run it.  It refreshes ``last_op_stats`` like any other
         operation: one layer visited per level descended, no ordered-set
-        operation charged.
+        operation charged.  The leaf is valid while ``key`` is stored, as
+        for ``first_node``.
         """
         if type(key) is not int or not 0 <= key <= self._key_mask:
             self._check_key(key)
@@ -582,101 +663,24 @@ class PTrie:
     def validate(self) -> ValidationReport:
         """Audit every structural invariant; O(size), not for hot paths.
 
-        Checks, in order: occupancy masks match slot contents, no empty
-        non-root layer, depth bounds, every leaf sits
-        on its key's chunk path and records the depth it is filed at,
-        subtree ``min_leaf``/``max_leaf`` caches are exact, no overflow
-        deque is left empty, the linked list is doubly
-        consistent, ascends strictly by key, agrees with the trie's
-        left-to-right leaf order, and ``count`` equals the payload total.
-        The fingerprint hashes the audited shape and is stable across
-        processes for equal structures.
+        Checks, in order: the free lists are within ``FREE_LIST_CAP``, hold
+        no object twice and hold only cleared objects (a free leaf has no
+        payload, overflow deque or link; a free layer has no occupied slot
+        and no extrema); then, in a walk of the trie, no free object is
+        reachable from the root, depth bounds, every leaf sits on its key's
+        chunk path and records the depth it is filed at, no overflow deque
+        is left empty, occupancy masks match slot contents, no empty
+        non-root layer, subtree ``min_leaf``/``max_leaf`` caches are exact;
+        then the linked list is doubly consistent, ascends strictly by key,
+        agrees with the trie's left-to-right leaf order, and ``count``
+        equals the payload total.
+
+        The fingerprint hashes the audited shape (the free lists are not
+        part of it) and is stable across processes for equal structures.
+        The audit holds a bounded number of objects at a time, however
+        large the trie.
         """
-        trail: list[bytes] = []
-        leaves: list[LeafNode] = []
-
-        def fail(msg: str) -> ValidationReport:
-            return ValidationReport(False, msg, "")
-
-        def walk(layer: Layer, depth: int) -> str | None:
-            level = depth + 1
-            if depth >= self._depth_max:
-                return f"layer deeper than depth_max at level {level}"
-            if len(layer.slots) != self._degree:
-                return f"slot array of wrong degree at level {level}"
-            occ = 0
-            before = len(leaves)
-            trail.append(b"L%d:%x" % (level, layer.occupied))
-            for c, slot in enumerate(layer.slots):
-                if slot is None:
-                    continue
-                occ |= 1 << c
-                if type(slot) is LeafNode:
-                    chunk = (slot.key >> self._shifts[depth]) & self._chunk_mask
-                    if chunk != c:
-                        return (
-                            f"leaf {slot.key:#x} filed in slot {c} at "
-                            f"level {level}"
-                        )
-                    if slot.depth != depth:
-                        return (
-                            f"leaf {slot.key:#x} records depth {slot.depth}, "
-                            f"filed at depth {depth}"
-                        )
-                    if slot.rest is not None and not slot.rest:
-                        return f"empty overflow deque at key {slot.key:#x}"
-                    trail.append(b"K%x:%d" % (slot.key, _queued(slot)))
-                    leaves.append(slot)
-                else:
-                    err = walk(slot, depth + 1)
-                    if err is not None:
-                        return err
-            if occ != layer.occupied:
-                return (
-                    f"occupancy mask {layer.occupied:#x} != contents {occ:#x} "
-                    f"at level {level}"
-                )
-            if occ == 0 and layer is not self.root:
-                return f"empty layer at level {level}"
-            held = len(leaves) > before
-            if layer.min_leaf is not (leaves[before] if held else None):
-                return f"min_leaf mismatch at level {level}"
-            if layer.max_leaf is not (leaves[-1] if held else None):
-                return f"max_leaf mismatch at level {level}"
-            return None
-
-        err = walk(self.root, 0)
-        if err is not None:
-            return fail(err)
-
-        node = self.head
-        seen = 0
-        payloads = 0
-        prev: LeafNode | None = None
-        order: list[bytes] = []
-        while node is not None:
-            if node.prev is not prev:
-                return fail(f"broken prev link at key {node.key:#x}")
-            if prev is not None and prev.key >= node.key:
-                return fail(
-                    f"list not ascending: {prev.key:#x} before {node.key:#x}"
-                )
-            if seen >= len(leaves) or leaves[seen] is not node:
-                return fail(f"list order diverges from trie at key {node.key:#x}")
-            order.append(b"%x" % node.key)
-            payloads += _queued(node)
-            prev = node
-            node = node.next
-            seen += 1
-        if seen != len(leaves):
-            return fail(f"list has {seen} leaves, trie has {len(leaves)}")
-        if self.tail is not prev:
-            return fail("tail does not end the list")
-        if payloads != self.count:
-            return fail(f"count {self.count} != stored payloads {payloads}")
-
-        digest = hashlib.sha256(b"|".join(trail) + b"#" + b",".join(order))
-        return ValidationReport(True, None, digest.hexdigest())
+        return _Audit(self).run()
 
     def stats(self) -> OpStats:
         """Copy of the most recent operation's instrumentation."""
@@ -687,3 +691,172 @@ class PTrie:
             f"PTrie(word_bits={self.config.word_bits}, "
             f"stride_bits={self.config.stride_bits}, count={self.count})"
         )
+
+
+class _Audit:
+    """One run of ``PTrie.validate``, in memory independent of the size.
+
+    The fingerprint is the sha256 of ``b"|".join(trail) + b"#" +
+    b",".join(order)``: ``trail`` has ``L<level>:<mask>`` for each layer
+    and ``K<key>:<payloads>`` for each leaf in walk order, ``order`` has
+    each key along the linked list.  Both are fed to the hash in batches
+    of about ``_HASH_BATCH`` items.  Each layer's walk returns the extreme
+    leaves of its subtree for the ``min_leaf``/``max_leaf`` checks, and a
+    cursor follows the linked list as leaves turn up in trie order, so the
+    list walk can report the first node where the two orders part.
+    """
+
+    __slots__ = ("trie", "free", "digest", "batch", "fed", "cursor", "leaves",
+                 "mismatch")
+
+    def __init__(self, trie: PTrie) -> None:
+        self.trie = trie
+        self.free: set[LeafNode | Layer] = set()
+        self.digest = hashlib.sha256()
+        self.batch: list[bytes] = []
+        self.fed = False  # whether this part of the hash has items yet
+        self.cursor = trie.head  # list node due at the next trie-order leaf
+        self.leaves = 0  # leaves met in trie order so far
+        self.mismatch = -1  # first trie-order index the list disagrees at
+
+    def run(self) -> ValidationReport:
+        err = self.free_lists() or self.trie_order() or self.list_order()
+        if err is not None:
+            return ValidationReport(False, err, "")
+        return ValidationReport(True, None, self.digest.hexdigest())
+
+    def feed(self, sep: bytes) -> None:
+        """Hash the batched items, ``sep``-joined onto what came before."""
+        batch = self.batch
+        if batch:
+            if self.fed:
+                self.digest.update(sep)
+            self.digest.update(sep.join(batch))
+            self.fed = True
+            batch.clear()
+
+    def free_lists(self) -> str | None:
+        t = self.trie
+        leaves, layers = t._free_leaves, t._free_layers
+        for kind, pool in (("leaf", leaves), ("layer", layers)):
+            if len(pool) > FREE_LIST_CAP:
+                return (f"free {kind} list holds {len(pool)} objects, "
+                        f"cap is {FREE_LIST_CAP}")
+        free = self.free
+        free.update(leaves)
+        free.update(layers)
+        if len(free) != len(leaves) + len(layers):
+            return "an object sits on the free lists twice"
+        for leaf in leaves:
+            if type(leaf) is not LeafNode or not (
+                leaf.first is None and leaf.rest is None
+                and leaf.prev is None and leaf.next is None
+            ):
+                return f"free leaf not cleared: {leaf!r}"
+        degree = t._degree
+        for ly in layers:
+            if type(ly) is not Layer or not (
+                ly.occupied == 0 and ly.min_leaf is None and ly.max_leaf is None
+                and len(ly.slots) == degree and ly.slots.count(None) == degree
+            ):
+                return f"free layer not cleared: {ly!r}"
+        return None
+
+    def trie_order(self) -> str | None:
+        try:
+            self.walk(self.trie.root, 0)
+        except _Corrupt as err:
+            return str(err)
+        self.feed(b"|")
+        self.digest.update(b"#")
+        self.fed = False
+        return None
+
+    def walk(self, layer: Layer, depth: int) -> tuple[LeafNode | None, LeafNode | None]:
+        """Audit ``layer``'s subtree and return its smallest and largest leaf."""
+        t = self.trie
+        level = depth + 1
+        if depth >= t._depth_max:
+            raise _Corrupt(f"layer deeper than depth_max at level {level}")
+        if len(layer.slots) != t._degree:
+            raise _Corrupt(f"slot array of wrong degree at level {level}")
+        shift = t._shifts[depth]
+        cmask = t._chunk_mask
+        free = self.free
+        batch = self.batch
+        occ = 0
+        lo = hi = None
+        batch.append(b"L%d:%x" % (level, layer.occupied))
+        for c, slot in enumerate(layer.slots):
+            if slot is None:
+                continue
+            occ |= 1 << c
+            if slot in free:
+                raise _Corrupt(f"free {type(slot).__name__} reachable from the "
+                               f"root in slot {c} at level {level}")
+            if type(slot) is LeafNode:
+                if (slot.key >> shift) & cmask != c:
+                    raise _Corrupt(f"leaf {slot.key:#x} filed in slot {c} at "
+                                   f"level {level}")
+                if slot.depth != depth:
+                    raise _Corrupt(f"leaf {slot.key:#x} records depth "
+                                   f"{slot.depth}, filed at depth {depth}")
+                if slot.rest is not None and not slot.rest:
+                    raise _Corrupt(f"empty overflow deque at key {slot.key:#x}")
+                batch.append(b"K%x:%d" % (slot.key, _queued(slot)))
+                if self.mismatch < 0:
+                    if self.cursor is slot:
+                        self.cursor = slot.next
+                    else:
+                        self.mismatch = self.leaves
+                self.leaves += 1
+                first = last = slot
+            else:
+                first, last = self.walk(slot, depth + 1)
+            if lo is None:
+                lo = first
+            hi = last
+        if len(batch) >= _HASH_BATCH:
+            self.feed(b"|")
+        if occ != layer.occupied:
+            raise _Corrupt(f"occupancy mask {layer.occupied:#x} != contents "
+                           f"{occ:#x} at level {level}")
+        if occ == 0 and layer is not t.root:
+            raise _Corrupt(f"empty layer at level {level}")
+        if layer.min_leaf is not lo:
+            raise _Corrupt(f"min_leaf mismatch at level {level}")
+        if layer.max_leaf is not hi:
+            raise _Corrupt(f"max_leaf mismatch at level {level}")
+        return lo, hi
+
+    def list_order(self) -> str | None:
+        t = self.trie
+        batch = self.batch
+        leaves, mismatch = self.leaves, self.mismatch
+        node = t.head
+        seen = 0
+        payloads = 0
+        prev: LeafNode | None = None
+        while node is not None:
+            if node.prev is not prev:
+                return f"broken prev link at key {node.key:#x}"
+            if prev is not None and prev.key >= node.key:
+                return f"list not ascending: {prev.key:#x} before {node.key:#x}"
+            if seen >= leaves or seen == mismatch:
+                return f"list order diverges from trie at key {node.key:#x}"
+            batch.append(b"%x" % node.key)
+            if len(batch) >= _HASH_BATCH:
+                self.feed(b",")
+            payloads += _queued(node)
+            prev = node
+            node = node.next
+            seen += 1
+        if seen != leaves:
+            return f"list has {seen} leaves, trie has {leaves}"
+        if t.tail is not prev:
+            return "tail does not end the list"
+        if payloads != t.count:
+            return f"count {t.count} != stored payloads {payloads}"
+        self.feed(b",")
+        return None
+

@@ -2,6 +2,8 @@
 
 import hashlib
 import random
+import tracemalloc
+import weakref
 from collections import deque
 
 import pytest
@@ -9,7 +11,8 @@ import pytest
 from helpers import run_differential
 from prefixpq import ABSENT, LeafNode, PTrie, PTrieConfig
 from prefixpq.analysis import count_layers_per_level
-from prefixpq.ptrie import Layer
+from prefixpq.oracles import StableListPQ
+from prefixpq.ptrie import FREE_LIST_CAP, Layer
 
 
 def make(word_bits=32, stride_bits=4):
@@ -378,6 +381,63 @@ class TestValidate:
         assert not rep.ok
         assert "empty overflow deque" in rep.error
 
+    def test_audit_memory_is_bounded(self):
+        # the audit feeds its hash in batches and keeps no per-leaf list
+        t = make()
+        rng = random.Random(11)
+        for i in range(50_000):
+            t.insert(rng.getrandbits(32), i)
+        tracemalloc.start()
+        try:
+            rep = t.validate()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.ok
+        assert peak < 1 << 20
+
+    def _with_free_objects(self):
+        t = make(8, 4)
+        for key in (0x10, 0x1F, 0x20):
+            t.insert(key, key)
+        t.remove(0x1F)  # its layer still holds 0x10
+        t.remove(0x10)  # the leaf and the layer under root slot 1 go free
+        assert (len(t._free_leaves), len(t._free_layers)) == (2, 1)
+        assert t.validate().ok
+        return t
+
+    def test_detects_dirty_free_leaf(self):
+        t = self._with_free_objects()
+        t._free_leaves[0].first = "stale"
+        rep = t.validate()
+        assert not rep.ok
+        assert "free leaf not cleared" in rep.error
+
+    def test_detects_dirty_free_layer(self):
+        t = self._with_free_objects()
+        t._free_layers[0].occupied = 1
+        rep = t.validate()
+        assert not rep.ok
+        assert "free layer not cleared" in rep.error
+
+    def test_detects_live_or_doubled_free_objects(self):
+        t = make()
+        t.insert(5)  # no payload and no neighbors: looks cleared
+        t._free_leaves.append(t.find_node(5))
+        rep = t.validate()
+        assert not rep.ok
+        assert "free LeafNode reachable from the root" in rep.error
+        dup = LeafNode(1, None)
+        t._free_leaves[:] = [dup, dup]
+        assert "twice" in t.validate().error
+
+    def test_detects_free_list_over_cap(self):
+        t = make()
+        t._free_leaves.extend(LeafNode(0, None) for _ in range(FREE_LIST_CAP + 1))
+        rep = t.validate()
+        assert not rep.ok
+        assert f"cap is {FREE_LIST_CAP}" in rep.error
+
 
 class TestLeafNode:
     def test_constructs_at_depth_zero(self):
@@ -431,6 +491,112 @@ class TestLeafNode:
         assert t.find_node(5).queue == (payload,)
         assert t.delete_min()[1] is payload
         assert t.count == 0 and t.validate().ok
+
+
+class _Payload:
+    """A payload that can be weakly referenced."""
+
+
+def _layers(t):
+    """Every non-root layer, level by level."""
+    out, frontier = [], [t.root]
+    while frontier:
+        frontier = [s for ly in frontier for s in ly.slots if type(s) is Layer]
+        out += frontier
+    return out
+
+
+class TestRecycling:
+    @pytest.mark.parametrize("m,k", [(8, 4), (32, 4)])
+    def test_free_lists_keep_no_payload_alive(self, m, k):
+        rng = random.Random(m * 10 + k)
+        t = make(m, k)
+        refs = []
+        for _ in range(300):
+            p = _Payload()
+            refs.append(weakref.ref(p))
+            t.insert(rng.getrandbits(m), p)
+        del p
+        key, p = t.delete_min()
+        r = weakref.ref(p)
+        del p
+        assert r() is None
+        key = t.maximum()[0]
+        r = weakref.ref(t.remove(key))
+        assert r() is None
+        while t:
+            t.delete_min()
+        assert t._free_leaves and not any(r() for r in refs)
+        assert t.validate().ok
+
+    def test_emptied_leaves_and_layers_are_refiled(self):
+        rng = random.Random(3)
+        t = make(16, 4)
+        first = rng.sample(range(1 << 16), 200)
+        for key in first:
+            t.insert(key)
+        leaves = [t.find_node(key) for key in first]
+        layers = _layers(t)
+        for key in first[:100]:
+            t.remove(key)
+        while t:
+            t.delete_min()
+        second = rng.sample(range(1 << 16), 200)
+        for key in second:
+            t.insert(key)
+        # the test holds every old object, so no id can be reused
+        assert {id(t.find_node(key)) for key in second} == {id(x) for x in leaves}
+        shared = {id(x) for x in _layers(t)} & {id(x) for x in layers}
+        assert len(shared) == min(len(layers), len(_layers(t))) > 0
+        assert t.validate().ok
+
+    @pytest.mark.parametrize("m,k", [(8, 4), (16, 2), (32, 4), (32, 8)])
+    def test_drain_and_refill_across_the_cap(self, m, k):
+        # a twin that never reuses an object must take the same steps and
+        # reach the same shapes; the sorted list fixes the drain order
+        rng = random.Random(m * 10 + k)
+        t, twin, ref = make(m, k), make(m, k), StableListPQ()
+        seq = 0
+        for n in (300, 1500, 40, 2500):
+            keys = [rng.getrandbits(m) for _ in range(n)]
+            spare = len(t._free_leaves)
+            for key in keys:
+                t.insert(key, seq)
+                twin.insert(key, seq)
+                ref.insert(key, seq)
+                seq += 1
+                assert _op_triple(t) == _op_triple(twin)
+                twin._free_leaves.clear()
+                twin._free_layers.clear()
+            assert t.validate().fingerprint == twin.validate().fingerprint
+            while t:
+                if rng.random() < 0.5:
+                    got, want = t.delete_min(), ref.delete_min()
+                    assert twin.delete_min() == got
+                else:
+                    key = rng.choice(keys)
+                    got, want = t.remove(key), ref.remove(key)
+                    assert twin.remove(key) == got
+                    if got is ABSENT:
+                        got = want = None
+                assert got == want
+                assert _op_triple(t) == _op_triple(twin)
+                twin._free_leaves.clear()
+                twin._free_layers.clear()
+            assert len(ref) == 0
+            rep = t.validate()
+            assert rep.ok and rep.fingerprint == twin.validate().fingerprint
+            # the refill took spare leaves first; the drain freed one per key
+            distinct = len(set(keys))
+            assert len(t._free_leaves) == min(FREE_LIST_CAP, max(spare, distinct))
+            assert len(t._free_layers) <= FREE_LIST_CAP
+        if m > 8:
+            assert len(t._free_leaves) == FREE_LIST_CAP
+
+
+def _op_triple(t):
+    st = t.last_op_stats
+    return (st.layers_visited, st.index_ops, st.nodes_spliced)
 
 
 class TestDifferential:
