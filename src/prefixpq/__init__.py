@@ -32,7 +32,6 @@ from .keycodec import SignedPTrie
 from .mst import MstResult, mst_prim
 from .paths import (
     PathTree,
-    QueueEntry,
     TraceEvent,
     format_trace_event,
     format_walk,
@@ -66,7 +65,6 @@ __all__ = [
     "PTrie",
     "PTrieConfig",
     "PathTree",
-    "QueueEntry",
     "SignedPTrie",
     "TraceEvent",
     "ValidationReport",

@@ -76,21 +76,15 @@ def expected_layers_at_level(n: int, degree: int, level: int) -> float:
 
     Depth 0 is the root, which a ``PTrie`` allocates up front, so the
     expectation there is 1 for every n -- the count that
-    ``count_layers_per_level`` observes.  Deeper terms are evaluated through
-    ``log1p``/``expm1`` to survive the near-cancellation at small hit
-    probabilities.
+    ``count_layers_per_level`` observes.  Deeper levels hold ``P**L``
+    prefix classes, each live with ``prefix_collision_prob``.
     """
     _check_common(n, degree, level)
     if level == 0:
         return 1.0
     if n < 2:
         return 0.0
-    r = float(degree) ** (-level)
-    log_miss = math.log1p(-r)
-    # 1 - (1-r)**n, computed without losing the tiny difference
-    hit_any = -math.expm1(n * log_miss)
-    single = n * math.exp((n - 1) * log_miss)
-    return float(degree) ** level * hit_any - single
+    return float(degree) ** level * prefix_collision_prob(n, degree, level)
 
 
 def prefix_collision_prob(n: int, degree: int, level: int) -> float:
@@ -102,6 +96,7 @@ def prefix_collision_prob(n: int, degree: int, level: int) -> float:
         return 1.0
     r = float(degree) ** (-level)
     log_miss = math.log1p(-r)
+    # 1 - (1-r)**n through expm1, so the tiny difference survives
     return -math.expm1(n * log_miss) - n * r * math.exp((n - 1) * log_miss)
 
 

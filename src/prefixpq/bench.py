@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any
 
 from .graphs import Graph
@@ -44,21 +44,16 @@ class PqBenchReport:
     elapsed_s: float
 
     def to_dict(self) -> dict[str, Any]:
-        """Deterministic report body; excludes wall-clock measurements."""
-        return {
-            "queue": self.queue,
-            "n": self.n,
-            "word_bits": self.word_bits,
-            "stride_bits": self.stride_bits,
-            "seed": self.seed,
-            "inserts": self.inserts,
-            "extractions": self.extractions,
-            "max_insert_steps": self.max_insert_steps,
-            "max_extract_steps": self.max_extract_steps,
-            "mean_steps": round(self.mean_steps, 6),
-            "max_layers_visited": self.max_layers_visited,
-            "drain_checksum": self.drain_checksum,
-        }
+        d = _deterministic_fields(self)
+        d["mean_steps"] = round(self.mean_steps, 6)
+        return d
+
+
+def _deterministic_fields(report: Any) -> dict[str, Any]:
+    """The report's fields minus ``elapsed_s``: equal runs, equal bytes."""
+    d = asdict(report)
+    del d["elapsed_s"]
+    return d
 
 
 def _require(name: str, value: int, least: int = 0) -> None:
@@ -82,6 +77,11 @@ def _random_keys(n: int, word_bits: int, seed: int) -> list[int]:
 _CHECKSUM_MOD = (1 << 61) - 1
 
 
+def _fold(checksum: int, value: int) -> int:
+    """Fold one value into an order-sensitive checksum."""
+    return (checksum * 1315423911 + value + 1) % _CHECKSUM_MOD
+
+
 def run_pq_workload(
     n: int,
     queue: str = "ptrie",
@@ -99,15 +99,16 @@ def run_pq_workload(
     _require("n", n)
     keys = _random_keys(n, word_bits, seed)
     checksum = 0
+    extracted = 0
+    total_steps = 0
+    max_ins = 0
+    max_ext = 0
+    max_layers = 0
     t0 = time.perf_counter()
     if queue == "ptrie":
         trie = PTrie(PTrieConfig(word_bits, stride_bits))
         st = trie.last_op_stats
         k = stride_bits
-        total_steps = 0
-        max_ins = 0
-        max_ext = 0
-        max_layers = 0
         for key in keys:
             trie.insert(key)
             steps = st.layers_visited + k * st.index_ops
@@ -116,7 +117,6 @@ def run_pq_workload(
                 max_ins = steps
             if st.layers_visited > max_layers:
                 max_layers = st.layers_visited
-        extracted = 0
         while trie.count:
             key, _ = trie.delete_min()
             steps = st.layers_visited + k * st.index_ops
@@ -125,50 +125,34 @@ def run_pq_workload(
                 max_ext = steps
             if st.layers_visited > max_layers:
                 max_layers = st.layers_visited
-            checksum = (checksum * 1315423911 + key + 1) % _CHECKSUM_MOD
+            checksum = _fold(checksum, key)
             extracted += 1
-        elapsed = time.perf_counter() - t0
-        return PqBenchReport(
-            queue="ptrie",
-            n=n,
-            word_bits=word_bits,
-            stride_bits=stride_bits,
-            seed=seed,
-            inserts=n,
-            extractions=extracted,
-            max_insert_steps=max_ins,
-            max_extract_steps=max_ext,
-            mean_steps=total_steps / max(1, n + extracted),
-            max_layers_visited=max_layers,
-            drain_checksum=checksum,
-            elapsed_s=elapsed,
-        )
-    if queue == "oracle":
+    elif queue == "oracle":
         pq = StableListPQ()
         for key in keys:
             pq.insert(key)
-        extracted = 0
         while len(pq):
             key, _ = pq.delete_min()
-            checksum = (checksum * 1315423911 + key + 1) % _CHECKSUM_MOD
+            checksum = _fold(checksum, key)
             extracted += 1
-        elapsed = time.perf_counter() - t0
-        return PqBenchReport(
-            queue="oracle",
-            n=n,
-            word_bits=word_bits,
-            stride_bits=stride_bits,
-            seed=seed,
-            inserts=n,
-            extractions=extracted,
-            max_insert_steps=0,
-            max_extract_steps=0,
-            mean_steps=0.0,
-            max_layers_visited=0,
-            drain_checksum=checksum,
-            elapsed_s=elapsed,
-        )
-    raise ValueError(f"unknown queue kind {queue!r}")
+    else:
+        raise ValueError(f"unknown queue kind {queue!r}")
+    elapsed = time.perf_counter() - t0
+    return PqBenchReport(
+        queue=queue,
+        n=n,
+        word_bits=word_bits,
+        stride_bits=stride_bits,
+        seed=seed,
+        inserts=n,
+        extractions=extracted,
+        max_insert_steps=max_ins,
+        max_extract_steps=max_ext,
+        mean_steps=total_steps / max(1, n + extracted),
+        max_layers_visited=max_layers,
+        drain_checksum=checksum,
+        elapsed_s=elapsed,
+    )
 
 
 @dataclass(frozen=True)
@@ -227,15 +211,7 @@ class DijkstraBenchReport:
     elapsed_s: float
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "queue": self.queue,
-            "n_vertices": self.n_vertices,
-            "n_arcs": self.n_arcs,
-            "seed": self.seed,
-            "reached": self.reached,
-            "dist_checksum": self.dist_checksum,
-            "agrees_with_heap": self.agrees_with_heap,
-        }
+        return _deterministic_fields(self)
 
 
 def random_graph(
@@ -276,7 +252,7 @@ def run_dijkstra_bench(
     elapsed = time.perf_counter() - t0
     checksum = 0
     for v in sorted(dist):
-        checksum = (checksum * 1315423911 + dist[v] + 1) % _CHECKSUM_MOD
+        checksum = _fold(checksum, dist[v])
     return DijkstraBenchReport(
         queue=queue,
         n_vertices=n_vertices,

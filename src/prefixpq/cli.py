@@ -208,10 +208,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     if levels < 1 or levels > cfg.depth_max:
         raise ValueError(f"--levels must be in 1..{cfg.depth_max}")
     obs = analysis.monte_carlo_layer_counts(args.n, cfg, args.trials, args.seed)
-    mass = sum(
-        analysis.prob_exact_occupancy(args.n, cfg.degree, 1, gg)
-        for gg in range(args.n + 1)
-    )
+    mass = sum(analysis.occupancy_distribution(args.n, cfg.degree, 1))
     payload = schemas.analysis_to_dict(obs, mass)
     payload["levels"] = payload["levels"][:levels]
 
@@ -320,17 +317,14 @@ def main(argv: list[str] | None = None) -> int:
         parser.print_usage(sys.stderr)
         return USAGE_ERROR
     try:
-        try:
-            return args.func(args)
-        except (FileNotFoundError, OSError, GraphError) as exc:
-            print(f"prefixpq: input error: {exc}", file=sys.stderr)
-            return INPUT_ERROR
-        except ValueError as exc:
-            print(f"prefixpq: error: {exc}", file=sys.stderr)
-            return USAGE_ERROR
-    except SystemExit:
-        raise
-    except Exception as exc:  # pragma: no cover - defensive
+        return args.func(args)
+    except (OSError, GraphError) as exc:
+        print(f"prefixpq: input error: {exc}", file=sys.stderr)
+        return INPUT_ERROR
+    except ValueError as exc:
+        print(f"prefixpq: error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
+    except Exception as exc:
         print(f"prefixpq: internal error: {type(exc).__name__}: {exc}",
               file=sys.stderr)
         return INTERNAL_ERROR

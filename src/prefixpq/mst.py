@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, GraphError
+from .graphs import Arc, Graph, GraphError
 from .ptrie import PTrie, PTrieConfig
 
 
@@ -22,7 +22,7 @@ class MstResult:
     """Accepted arcs in acceptance order, their weight sum, and the span."""
 
     root: str
-    edges: tuple[tuple[str, str, int], ...]
+    edges: tuple[Arc, ...]
     total_weight: int
     spanned: frozenset[str]
     spans_all: bool
@@ -34,7 +34,7 @@ def mst_prim(g: Graph, root: str, config: PTrieConfig | None = None) -> MstResul
         raise GraphError(f"unknown vertex {root!r}")
     queue = PTrie(config)
     in_tree = {root}
-    edges: list[tuple[str, str, int]] = []
+    edges: list[Arc] = []
     total = 0
     insert = queue.insert
     delete_min = queue.delete_min
@@ -48,7 +48,7 @@ def mst_prim(g: Graph, root: str, config: PTrieConfig | None = None) -> MstResul
             if head in in_tree:
                 continue
             in_tree.add(head)
-            edges.append((arc.tail, head, weight))
+            edges.append(arc)
             total += weight
             for out in g.arcs_from(head):
                 if out.head not in in_tree:

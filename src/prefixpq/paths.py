@@ -16,28 +16,18 @@ minimum-weight path to the source in reverse.  ``sdsp`` answers "everyone to
 one destination" by running the same solver on the reversed graph.
 
 ``sssp_trace`` runs its own loop, which queues every out-arc of a settled
-vertex as a ``QueueEntry`` (settled heads included) and logs one event per
-extraction, each with the queue's full pre-extraction content in drain
-order.  That makes the scheduling of every accept and reject reproducible
-and inspectable; its tree equals the one ``sssp`` returns.
+vertex (settled heads included) as a ``(path weight, arc)`` pair and logs
+one event per extraction, each with the queue's full pre-extraction content
+in drain order.  That makes the scheduling of every accept and reject
+reproducible and inspectable; its tree equals the one ``sssp`` returns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .graphs import Graph, GraphError
+from .graphs import Arc, Graph, GraphError
 from .ptrie import PTrie, PTrieConfig
-
-
-@dataclass(frozen=True)
-class QueueEntry:
-    """One relaxation queued by ``sssp_trace``: arc plus its path weight."""
-
-    weight: int
-    path_weight: int
-    tail: str
-    head: str
 
 
 @dataclass
@@ -60,25 +50,20 @@ class PathTree:
     def distance(self, v: str) -> int | None:
         return self.dist.get(v)
 
-    def hop_count(self, v: str) -> int | None:
-        return self.hops.get(v)
-
-    def back_arc(self, v: str) -> tuple[str, int] | None:
-        return self.back.get(v)
-
 
 @dataclass(frozen=True)
 class TraceEvent:
     """One extraction: the served entry, its fate, and the queue before it.
 
+    Each entry is the ``(path weight, arc)`` pair that was queued.
     ``queue`` lists every entry in drain order at the moment of service;
     the served entry is its first element.  ``step`` is 1-based.
     """
 
     step: int
-    entry: QueueEntry
+    entry: tuple[int, Arc]
     rejected: bool
-    queue: tuple[QueueEntry, ...]
+    queue: tuple[tuple[int, Arc], ...]
 
 
 def _start(
@@ -146,20 +131,22 @@ def sssp_trace(
     try:
         for arc in g.arcs_from(source):
             pw = arc.weight
-            queue.insert(pw, QueueEntry(pw, pw, source, arc.head))
+            queue.insert(pw, (pw, arc))
         while queue.count:
+            # the queued pairs themselves: tuple(queue) would build a fresh
+            # pair per entry per step for the collector to walk
             snapshot = tuple(entry for _, entry in queue)
             _, entry = queue.delete_min()
-            head = entry.head
+            base, arc = entry
+            head = arc.head
             rejected = head in back
             if not rejected:
-                back[head] = (entry.tail, entry.weight)
-                dist[head] = entry.path_weight
-                hops[head] = hops[entry.tail] + 1
-                base = entry.path_weight
-                for arc in g.arcs_from(head):
-                    pw = base + arc.weight
-                    queue.insert(pw, QueueEntry(arc.weight, pw, head, arc.head))
+                back[head] = (arc.tail, arc.weight)
+                dist[head] = base
+                hops[head] = hops[arc.tail] + 1
+                for out in g.arcs_from(head):
+                    pw = base + out.weight
+                    queue.insert(pw, (pw, out))
             events.append(TraceEvent(len(events) + 1, entry, rejected, snapshot))
     except ValueError:
         raise _key_overflow(queue, pw) from None
@@ -209,13 +196,11 @@ def format_walk(steps: list[tuple[str, int | None]]) -> str:
 def format_trace_event(ev: TraceEvent, verbose: bool = False) -> str:
     """One log line per extraction, plus the queue snapshot when verbose."""
     fate = "reject" if ev.rejected else "accept"
-    line = (
-        f"step={ev.step} extract={ev.entry.tail}->{ev.entry.head} "
-        f"w={ev.entry.path_weight} {fate}"
-    )
+    pw, arc = ev.entry
+    line = f"step={ev.step} extract={arc.tail}->{arc.head} w={pw} {fate}"
     if not verbose:
         return line
     body = [line]
-    for qe in ev.queue:
-        body.append(f"    queued w={qe.path_weight} {qe.tail}->{qe.head}")
+    for pw, arc in ev.queue:
+        body.append(f"    queued w={pw} {arc.tail}->{arc.head}")
     return "\n".join(body)

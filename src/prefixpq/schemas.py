@@ -295,28 +295,26 @@ def path_tree_to_dict(tree: PathTree, g: Graph) -> dict[str, Any]:
 
 
 def trace_to_dict(source: str, events: list[TraceEvent]) -> dict[str, Any]:
-    return {
-        "source": source,
-        "events": [
-            {
-                "step": ev.step,
-                "tail": ev.entry.tail,
-                "head": ev.entry.head,
-                "pathWeight": ev.entry.path_weight,
-                "rejected": ev.rejected,
-                "queue": [
-                    {
-                        "tail": qe.tail,
-                        "head": qe.head,
-                        "weight": qe.weight,
-                        "pathWeight": qe.path_weight,
-                    }
-                    for qe in ev.queue
-                ],
-            }
-            for ev in events
-        ],
-    }
+    out = []
+    for ev in events:
+        pw, arc = ev.entry
+        out.append({
+            "step": ev.step,
+            "tail": arc.tail,
+            "head": arc.head,
+            "pathWeight": pw,
+            "rejected": ev.rejected,
+            "queue": [
+                {
+                    "tail": qa.tail,
+                    "head": qa.head,
+                    "weight": qa.weight,
+                    "pathWeight": qpw,
+                }
+                for qpw, qa in ev.queue
+            ],
+        })
+    return {"source": source, "events": out}
 
 
 def analysis_to_dict(

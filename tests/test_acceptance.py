@@ -146,11 +146,12 @@ def test_criterion_04_demo_trace():
     ]
     _, events = sssp_trace(parse_graph(fixture_text("demo.g")), "A")
     got_sequence = [
-        (e.entry.tail, e.entry.head, e.entry.path_weight, e.rejected)
+        (arc.tail, arc.head, pw, e.rejected)
         for e in events
+        for pw, arc in [e.entry]
     ]
     got_snapshot = [
-        (qe.path_weight, qe.tail, qe.head) for qe in events[1].queue
+        (pw, arc.tail, arc.head) for pw, arc in events[1].queue
     ]
     proc = _cli("trace", "--input", "demo.g", "--source", "A", "--json")
     payload = json.loads(proc.stdout)

@@ -1,5 +1,6 @@
 """Command-line behavior: outputs, JSON payloads, exit codes."""
 
+import hashlib
 import io
 import json
 import os
@@ -245,6 +246,41 @@ class TestAnalyze:
         assert first == second
 
 
+# SHA-256 of the canonical --json bytes: a refactor of the report builders
+# must leave every value, key and float repr as it was.
+@pytest.mark.parametrize("argv,digest", [
+    pytest.param(
+        "bench --n 1000 --seed 3 --json",
+        "8666ad72ad860ad3b9cae363924dbab393aa255afface8d03ff74b8fd3ac3db4",
+        id="workload-ptrie"),
+    pytest.param(
+        "bench --n 1000 --queue oracle --seed 3 --json",
+        "693b1dada178f8ea7c5ed5ab1b89a4d8a607bd382195d431fc412f629df9e1a8",
+        id="workload-oracle"),
+    pytest.param(
+        "bench --mode scaling --sizes 500 2000 --seed 4 --json",
+        "eefdafd67ac8421fe2f95d5adc0acee83c220c8b22c8e0937a66455e1cc118dc",
+        id="scaling"),
+    pytest.param(
+        "bench --mode dijkstra --vertices 300 --arcs 1500 --seed 2 --json",
+        "692e1d23debda7f4eb4711532518a2f1abdfea5d6a09c6c6186ca31e8cfbfbda",
+        id="dijkstra-ptrie"),
+    pytest.param(
+        "bench --mode dijkstra --vertices 300 --arcs 1500 --queue oracle "
+        "--seed 2 --json",
+        "cc85dd77656629042bb400a52e8269f5b67b258e7890515187c08cdda16b741a",
+        id="dijkstra-oracle"),
+    pytest.param(
+        "analyze --n 64 --trials 5 --seed 1 --json",
+        "6e7c8266385f8291fc3e4f5cae9be82d632a9efffff21077f4e95ae83c61fd7c",
+        id="analyze"),
+])
+def test_json_bytes_are_pinned(capsys, argv, digest):
+    code, out, err = run(capsys, *argv.split())
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 class TestExitCodes:
     def test_no_command_is_usage_error(self, capsys):
         assert main([]) == 1
@@ -297,6 +333,18 @@ class TestExitCodes:
         code, _, err = run(capsys, "sssp", "--input", str(g), "--source", "A")
         assert code == 2
         assert "path weight 4294967296" in err and "--m 32" in err
+
+    def test_unexpected_exception_is_internal_error(self, capsys,
+                                                    monkeypatch):
+        def fail(*_args):
+            raise RuntimeError("queue invariant broken")
+
+        monkeypatch.setattr("prefixpq.cli.mst_prim", fail)
+        code, out, err = run(capsys, "mst", "--input", "fig4.g", "--root", "A")
+        assert (code, out) == (3, "")
+        assert err == (
+            "prefixpq: internal error: RuntimeError: queue invariant broken\n"
+        )
 
     @pytest.mark.parametrize("argv,name", [
         pytest.param(["bench", "--n", "-5"], "n", id="bench-n"),

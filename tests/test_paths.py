@@ -99,8 +99,9 @@ class TestDemoTrace:
     def test_exact_extraction_sequence(self, demo):
         _, events = sssp_trace(demo, "A")
         got = [
-            (e.entry.tail, e.entry.head, e.entry.path_weight, e.rejected)
+            (arc.tail, arc.head, pw, e.rejected)
             for e in events
+            for pw, arc in [e.entry]
         ]
         assert got == self.EXPECTED
 
@@ -112,12 +113,12 @@ class TestDemoTrace:
         _, events = sssp_trace(demo, "A")
         for ev in events:
             assert ev.queue[0] == ev.entry
-            weights = [qe.path_weight for qe in ev.queue]
+            weights = [pw for pw, _ in ev.queue]
             assert weights == sorted(weights)
 
     def test_second_step_snapshot(self, demo):
         _, events = sssp_trace(demo, "A")
-        snap = [(qe.path_weight, qe.tail, qe.head) for qe in events[1].queue]
+        snap = [(pw, arc.tail, arc.head) for pw, arc in events[1].queue]
         assert snap == [
             (2, "D", "B"),
             (3, "A", "B"),
