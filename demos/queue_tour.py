@@ -3,6 +3,9 @@
 Run:  python3 demos/queue_tour.py
 """
 
+from itertools import groupby
+from operator import itemgetter
+
 from prefixpq import ABSENT, PTrie, PTrieConfig, SignedPTrie
 
 
@@ -43,11 +46,7 @@ print("maximum:", queue.maximum())
 print("search(77):", queue.search(77), "  search(78):", queue.search(78))
 
 section("leaf list is a doubly linked iterator")
-node = queue.first_node()
-chain = []
-while node is not None:
-    chain.append(f"{node.key}(x{len(node.queue)})")
-    node = node.next
+chain = [f"{key}(x{len(list(run))})" for key, run in groupby(queue, itemgetter(0))]
 print("ascending leaves:", " -> ".join(chain))
 
 section("every operation reports its instrumented cost")

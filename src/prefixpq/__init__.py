@@ -42,8 +42,6 @@ from .paths import (
 )
 from .ptrie import (
     ABSENT,
-    LeafNode,
-    Layer,
     OpStats,
     PTrie,
     PTrieConfig,
@@ -58,8 +56,6 @@ __all__ = [
     "Graph",
     "GraphError",
     "GraphParseError",
-    "Layer",
-    "LeafNode",
     "MstResult",
     "OpStats",
     "PTrie",

@@ -118,7 +118,7 @@ def layer_count_std_bound(n: int, degree: int, level: int) -> float:
 def count_layers_per_level(trie: PTrie) -> list[int]:
     """Live layers at each depth 0..depth_max-1 by direct traversal."""
     counts = [0] * trie.config.depth_max
-    frontier = [trie.root]
+    frontier = [trie._root]
     depth = 0
     while frontier:
         counts[depth] = len(frontier)

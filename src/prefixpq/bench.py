@@ -237,14 +237,19 @@ def run_dijkstra_bench(
     n_arcs: int = 10_000,
     queue: str = "ptrie",
     seed: int = 0,
+    config: PTrieConfig | None = None,
 ) -> DijkstraBenchReport:
-    """Shortest paths from v0 on a seeded random graph, checked vs the heap."""
+    """Shortest paths from v0 on a seeded random graph, checked vs the heap.
+
+    ``config`` is the trie geometry ``sssp`` runs on; the heap reference
+    ignores it.
+    """
     _require("n_vertices", n_vertices, 1)  # the source v0 must exist
     g = random_graph(n_vertices, n_arcs, seed=seed)
     reference = dijkstra_heap(g, "v0")
     t0 = time.perf_counter()
     if queue == "ptrie":
-        dist = sssp(g, "v0").dist
+        dist = sssp(g, "v0", config).dist
     elif queue == "oracle":
         dist = dijkstra_heap(g, "v0")
     else:

@@ -169,6 +169,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             )
 
     elif args.mode == "scaling":
+        if args.queue == "oracle":
+            raise ValueError("--mode scaling sweeps step counts, and the "
+                             "oracle queue has none; use --queue ptrie")
         report = bench.scaling_sweep(
             tuple(args.sizes), args.m, args.k, args.seed
         )
@@ -185,7 +188,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
     else:
         report = bench.run_dijkstra_bench(
-            args.vertices, args.arcs, args.queue, args.seed
+            args.vertices, args.arcs, args.queue, args.seed, _config(args)
         )
 
         def text() -> str:

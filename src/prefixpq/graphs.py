@@ -17,7 +17,7 @@ down tie-breaking in every consumer.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 
 class GraphError(Exception):
@@ -109,9 +109,6 @@ class Graph:
     def arc_count(self) -> int:
         return self._arc_count
 
-    def out_degree(self, label: str) -> int:
-        return len(self.arcs_from(label))
-
     def reverse(self) -> "Graph":
         """Same vertices, every arc flipped; orders stay deterministic."""
         rev = Graph(self.word_bits)
@@ -125,11 +122,10 @@ class Graph:
         return f"Graph(vertices={self.vertex_count}, arcs={self._arc_count})"
 
 
-def parse_graph(text: str | Iterable[str], word_bits: int = 32) -> Graph:
+def parse_graph(text: str, word_bits: int = 32) -> Graph:
     """Build a Graph from format text; errors carry the offending line."""
     g = Graph(word_bits)
-    lines = text.splitlines() if isinstance(text, str) else text
-    for line_no, raw in enumerate(lines, start=1):
+    for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -86,39 +86,6 @@ class StableListPQ:
         return out
 
 
-def stable_pq_replay(
-    ops: Iterable[tuple], results: bool = True
-) -> list[Any]:
-    """Run an op script against the sorted-list queue.
-
-    Ops are tuples: ``("insert", key, payload)``, ``("delete_min",)``,
-    ``("remove", key)``, ``("search", key)``, ``("minimum",)``,
-    ``("maximum",)``, ``("len",)``.  Returns the result stream for the
-    non-insert ops, in script order.
-    """
-    pq = StableListPQ()
-    out: list[Any] = []
-    for op in ops:
-        name = op[0]
-        if name == "insert":
-            pq.insert(op[1], op[2] if len(op) > 2 else None)
-        elif name == "delete_min":
-            out.append(pq.delete_min())
-        elif name == "remove":
-            out.append(pq.remove(op[1]))
-        elif name == "search":
-            out.append(pq.search(op[1]))
-        elif name == "minimum":
-            out.append(pq.minimum())
-        elif name == "maximum":
-            out.append(pq.maximum())
-        elif name == "len":
-            out.append(len(pq))
-        else:
-            raise ValueError(f"unknown op {name!r}")
-    return out if results else []
-
-
 def dijkstra_heap(g: Graph, source: str) -> dict[str, int]:
     """Textbook heap Dijkstra; returns distances for reached vertices."""
     dist: dict[str, int] = {}

@@ -12,14 +12,13 @@ Each distinct key owns one leaf carrying a FIFO queue of payloads, so equal
 keys drain in insertion order (the queue is stable).  The oldest payload is
 stored inline in the leaf; an overflow ``deque`` holds the later ones and
 exists only while the key has two or more payloads, so the common
-one-payload key costs a single small object.  ``LeafNode.queue`` returns a
-tuple snapshot of the whole FIFO for readers; the queue operations use the
-inline fields directly.  Each leaf also records the depth of the layer it is
-filed in, which lets ``delete_min`` pop a payload from the head leaf without
-descending.  All leaves are threaded into a doubly linked list in ascending
-key order, which makes ``minimum``, ``maximum`` and neighbor iteration O(1)
-and lets a full drain run in O(n) list traversals plus the per-extraction
-trie maintenance.
+one-payload key costs a single small object.  Each leaf also records the
+depth of the layer it is filed in, which lets ``delete_min`` pop a payload
+from the head leaf without descending.  All leaves are threaded into a
+doubly linked list in ascending key order, which makes ``minimum``,
+``maximum`` and each iteration step O(1) in either direction (``iter`` and
+``reversed``) and lets a full drain run in O(n) list traversals plus the
+per-extraction trie maintenance.
 
 Per-layer bookkeeping kept alongside the slot array:
 
@@ -31,7 +30,7 @@ Per-layer bookkeeping kept alongside the slot array:
 
 A layer stores no level of its own: its depth is the number of slots
 followed from the root to reach it.  Lookups make one descent, in
-``find_node``; ``search`` and ``remove`` both start from it, and ``insert``
+``_find``; ``search`` and ``remove`` both start from it, and ``insert``
 keeps its own descent because it pushes residents down as it goes.
 
 Emptied leaves and layers are recycled: each trie keeps one free list of
@@ -42,15 +41,14 @@ single-slot chain of layers that dropped with it are cleared and pushed;
 steady therefore allocates no trie objects, and the cyclic collector,
 which a flood of short-lived container objects keeps triggering, stays
 quiet.  Free objects hold no payload and no link, so they keep nothing
-alive.  A ``LeafNode`` handed out by ``first_node``, ``last_node`` or
-``find_node`` is only valid while its key is stored: once the key's last
-payload is removed, the same object may be filed again under another key.
+alive.  No method hands out a leaf or a layer: ``LeafNode`` and ``Layer``
+are internal to this module.
 
-Every mutating or searching operation, ``find_node`` included, refreshes
-``last_op_stats`` with the number of layers it touched and the number of
-ordered-set operations it charged; ``OpStats.primitive_steps`` folds those
-into the cost model used by the benchmark (each ordered-set operation costs
-``stride_bits`` comparisons).  For any legal configuration the step count of
+Every mutating or searching operation refreshes ``last_op_stats`` with
+the number of layers it touched and the number of ordered-set operations it
+charged; ``OpStats.primitive_steps`` folds those into the cost model used by
+the benchmark (each ordered-set operation costs ``stride_bits``
+comparisons).  For any legal configuration the step count of
 a single operation is bounded by ``word_bits // stride_bits + stride_bits``.
 
 The structure is single-writer: no locking, and mutating it from concurrent
@@ -127,13 +125,13 @@ class PTrieConfig:
 class LeafNode:
     """One distinct key plus the FIFO queue of payloads filed under it.
 
-    The oldest payload sits inline in ``first``; later ones wait in the
-    ``rest`` deque, which exists only while the key holds two or more
-    payloads, so a key stored once costs no deque.  ``depth`` is the
-    0-based index of the layer the leaf is filed in (0 for the root).
-    ``prev`` / ``next`` are the ascending-key linked-list neighbors; they
-    are the O(1) iterator steps.  A leaf is valid until its key's last
-    payload is removed; the trie then clears it (no payload, no links) and
+    Internal to ``PTrie``.  The oldest payload sits inline in ``first``;
+    later ones wait in the ``rest`` deque, which exists only while the key
+    holds two or more payloads, so a key stored once costs no deque.
+    ``depth`` is the 0-based index of the layer the leaf is filed in (0 for
+    the root).  ``prev`` / ``next`` are the ascending-key linked-list
+    neighbors; they are the O(1) iterator steps.  When its key's last
+    payload is removed the trie clears the leaf (no payload, no links) and
     may file the same object under a later key.
     """
 
@@ -147,13 +145,6 @@ class LeafNode:
         self.prev: LeafNode | None = None
         self.next: LeafNode | None = None
 
-    @property
-    def queue(self) -> tuple[Any, ...]:
-        """Snapshot of the payloads in FIFO order; not a live view."""
-        if self.rest is None:
-            return (self.first,)
-        return (self.first, *self.rest)
-
     def __repr__(self) -> str:
         return f"LeafNode(key={self.key:#x}, depth_of_queue={_queued(self)})"
 
@@ -164,7 +155,10 @@ def _queued(leaf: LeafNode) -> int:
 
 
 class Layer:
-    """One slot array plus its occupancy bitmask and subtree extrema."""
+    """One slot array plus its occupancy bitmask and subtree extrema.
+
+    Internal to ``PTrie``.
+    """
 
     __slots__ = ("slots", "occupied", "min_leaf", "max_leaf")
 
@@ -250,9 +244,9 @@ class PTrie:
 
     __slots__ = (
         "config",
-        "root",
-        "head",
-        "tail",
+        "_root",
+        "_head",
+        "_tail",
         "count",
         "last_op_stats",
         "_shifts",
@@ -276,13 +270,13 @@ class PTrie:
         self._shifts = tuple(
             cfg.word_bits - cfg.stride_bits * (d + 1) for d in range(cfg.depth_max)
         )
-        self.root = Layer(self._degree)
-        self.head: LeafNode | None = None
-        self.tail: LeafNode | None = None
+        self._root = Layer(self._degree)
+        self._head: LeafNode | None = None
+        self._tail: LeafNode | None = None
         self.count = 0
         self.last_op_stats = OpStats(cfg.stride_bits)
         # reusable insert-descent buffer, safe under the single-writer contract
-        self._path: list[Layer] = [self.root] * self._depth_max
+        self._path: list[Layer] = [self._root] * self._depth_max
         # cleared leaves and layers awaiting reuse, each at most FREE_LIST_CAP
         self._free_leaves: list[LeafNode] = []
         self._free_layers: list[Layer] = []
@@ -310,7 +304,7 @@ class PTrie:
         shifts = self._shifts
         cmask = self._chunk_mask
         path = self._path  # path[0] is always the root
-        layer = self.root
+        layer = self._root
         depth = 0
         while True:
             c = (key >> shifts[depth]) & cmask
@@ -395,7 +389,7 @@ class PTrie:
             leaf.prev = left
             leaf.next = left.next
             if left.next is None:
-                self.tail = leaf
+                self._tail = leaf
             else:
                 left.next.prev = leaf
             left.next = leaf
@@ -413,7 +407,7 @@ class PTrie:
                 leaf.next = right
                 leaf.prev = right.prev
                 if right.prev is None:
-                    self.head = leaf
+                    self._head = leaf
                 else:
                     right.prev.next = leaf
                 right.prev = leaf
@@ -425,8 +419,8 @@ class PTrie:
             else:
                 # only an empty trie reaches here: non-root layers are
                 # created around a displaced resident
-                self.head = leaf
-                self.tail = leaf
+                self._head = leaf
+                self._tail = leaf
                 layer.min_leaf = leaf
                 layer.max_leaf = leaf
         layer.slots[c] = leaf
@@ -436,7 +430,7 @@ class PTrie:
         """Dequeue the oldest payload filed under ``key``.
 
         Returns ``ABSENT`` when the key is not stored.  The lookup is
-        ``find_node``'s descent, so a miss or a pop from a multi-payload
+        ``_find``'s descent, so a miss or a pop from a multi-payload
         leaf charges exactly what that descent charged.  When the dequeue
         empties the leaf, the leaf is unlinked and one walk from the root
         along its key refreshes the subtree extrema it held and finds the
@@ -444,7 +438,7 @@ class PTrie:
         branch point's slot is cleared, and the leaf and the single-slot
         chain of layers hanging below it go to the free lists.
         """
-        leaf = self.find_node(key)
+        leaf = self._find(key)
         if leaf is None:
             return ABSENT
         payload = leaf.first
@@ -459,17 +453,17 @@ class PTrie:
         prv = leaf.prev
         nxt = leaf.next
         if prv is None:
-            self.head = nxt
+            self._head = nxt
         else:
             prv.next = nxt
         if nxt is None:
-            self.tail = prv
+            self._tail = prv
         else:
             nxt.prev = prv
         shifts = self._shifts
         cmask = self._chunk_mask
         depth = leaf.depth
-        layer = branch = self.root
+        layer = branch = self._root
         c = bc = (key >> shifts[0]) & cmask
         d = 0
         while True:
@@ -506,20 +500,47 @@ class PTrie:
             free.append(leaf)
         return payload
 
+    def _find(self, key: int) -> LeafNode | None:
+        """The leaf storing ``key``, or None.
+
+        This is the trie's one lookup descent; ``search`` and ``remove``
+        both run it.  It refreshes ``last_op_stats`` like any other
+        operation: one layer visited per level descended, no ordered-set
+        operation charged.
+        """
+        if type(key) is not int or not 0 <= key <= self._key_mask:
+            self._check_key(key)
+        shifts = self._shifts
+        cmask = self._chunk_mask
+        layer = self._root
+        depth = 0
+        while True:
+            slot = layer.slots[(key >> shifts[depth]) & cmask]
+            if type(slot) is not Layer:
+                break
+            layer = slot
+            depth += 1
+        st = self.last_op_stats
+        st.layers_visited = depth + 1
+        st.index_ops = 0
+        if slot is None or slot.key != key:
+            return None
+        return slot
+
     def search(self, key: int) -> bool:
         """Pure membership probe; touches nothing but ``last_op_stats``."""
-        return self.find_node(key) is not None
+        return self._find(key) is not None
 
     def minimum(self) -> tuple[int, Any] | None:
         """Smallest key and its oldest payload, or None when empty.  O(1)."""
-        h = self.head
+        h = self._head
         if h is None:
             return None
         return (h.key, h.first)
 
     def maximum(self) -> tuple[int, Any] | None:
         """Largest key and its oldest payload, or None when empty.  O(1)."""
-        t = self.tail
+        t = self._tail
         if t is None:
             return None
         return (t.key, t.first)
@@ -536,7 +557,7 @@ class PTrie:
         leaf and the layers below the branch point are recycled as in
         ``remove``.
         """
-        h = self.head
+        h = self._head
         if h is None:
             return None
         st = self.last_op_stats
@@ -554,14 +575,14 @@ class PTrie:
             return (key, payload)
         st.index_ops = 1
         nxt = h.next
-        self.head = nxt
+        self._head = nxt
         if nxt is None:
-            self.tail = None
+            self._tail = None
         else:
             nxt.prev = None
         shifts = self._shifts
         cmask = self._chunk_mask
-        layer = branch = self.root
+        layer = branch = self._root
         c = bc = (key >> shifts[0]) & cmask
         d = 0
         while True:
@@ -579,7 +600,7 @@ class PTrie:
         node = branch.slots[bc]
         branch.slots[bc] = None
         if nxt is None:
-            self.root.max_leaf = None
+            self._root.max_leaf = None
         free = self._free_layers
         while node is not h and len(free) < FREE_LIST_CAP:
             oc = node.occupied.bit_length() - 1
@@ -597,52 +618,9 @@ class PTrie:
 
     # ------------------------------------------------------------- iteration
 
-    def first_node(self) -> LeafNode | None:
-        """Leaf with the smallest key; ``node.next`` walks ascending keys.
-
-        The leaf is valid while its key is stored: after the key's last
-        payload is removed the object may be reused for another key.
-        """
-        return self.head
-
-    def last_node(self) -> LeafNode | None:
-        """Leaf with the largest key; ``node.prev`` walks descending keys.
-
-        Valid for as long as ``first_node``'s leaf is.
-        """
-        return self.tail
-
-    def find_node(self, key: int) -> LeafNode | None:
-        """The leaf storing ``key``, or None.
-
-        This is the trie's one lookup descent; ``search`` and ``remove``
-        both run it.  It refreshes ``last_op_stats`` like any other
-        operation: one layer visited per level descended, no ordered-set
-        operation charged.  The leaf is valid while ``key`` is stored, as
-        for ``first_node``.
-        """
-        if type(key) is not int or not 0 <= key <= self._key_mask:
-            self._check_key(key)
-        shifts = self._shifts
-        cmask = self._chunk_mask
-        layer = self.root
-        depth = 0
-        while True:
-            slot = layer.slots[(key >> shifts[depth]) & cmask]
-            if type(slot) is not Layer:
-                break
-            layer = slot
-            depth += 1
-        st = self.last_op_stats
-        st.layers_visited = depth + 1
-        st.index_ops = 0
-        if slot is None or slot.key != key:
-            return None
-        return slot
-
     def __iter__(self) -> Iterator[tuple[int, Any]]:
         """Yield ``(key, payload)`` pairs in exact drain order."""
-        node = self.head
+        node = self._head
         while node is not None:
             key = node.key
             yield (key, node.first)
@@ -651,9 +629,20 @@ class PTrie:
                     yield (key, payload)
             node = node.next
 
+    def __reversed__(self) -> Iterator[tuple[int, Any]]:
+        """Yield ``(key, payload)`` pairs in reverse drain order."""
+        node = self._tail
+        while node is not None:
+            key = node.key
+            if node.rest is not None:
+                for payload in reversed(node.rest):
+                    yield (key, payload)
+            yield (key, node.first)
+            node = node.prev
+
     def keys(self) -> Iterator[int]:
         """Distinct keys in ascending order."""
-        node = self.head
+        node = self._head
         while node is not None:
             yield node.key
             node = node.next
@@ -715,7 +704,7 @@ class _Audit:
         self.digest = hashlib.sha256()
         self.batch: list[bytes] = []
         self.fed = False  # whether this part of the hash has items yet
-        self.cursor = trie.head  # list node due at the next trie-order leaf
+        self.cursor = trie._head  # list node due at the next trie-order leaf
         self.leaves = 0  # leaves met in trie order so far
         self.mismatch = -1  # first trie-order index the list disagrees at
 
@@ -764,7 +753,7 @@ class _Audit:
 
     def trie_order(self) -> str | None:
         try:
-            self.walk(self.trie.root, 0)
+            self.walk(self.trie._root, 0)
         except _Corrupt as err:
             return str(err)
         self.feed(b"|")
@@ -821,7 +810,7 @@ class _Audit:
         if occ != layer.occupied:
             raise _Corrupt(f"occupancy mask {layer.occupied:#x} != contents "
                            f"{occ:#x} at level {level}")
-        if occ == 0 and layer is not t.root:
+        if occ == 0 and layer is not t._root:
             raise _Corrupt(f"empty layer at level {level}")
         if layer.min_leaf is not lo:
             raise _Corrupt(f"min_leaf mismatch at level {level}")
@@ -833,7 +822,7 @@ class _Audit:
         t = self.trie
         batch = self.batch
         leaves, mismatch = self.leaves, self.mismatch
-        node = t.head
+        node = t._head
         seen = 0
         payloads = 0
         prev: LeafNode | None = None
@@ -853,7 +842,7 @@ class _Audit:
             seen += 1
         if seen != leaves:
             return f"list has {seen} leaves, trie has {leaves}"
-        if t.tail is not prev:
+        if t._tail is not prev:
             return "tail does not end the list"
         if payloads != t.count:
             return f"count {t.count} != stored payloads {payloads}"

@@ -1,4 +1,5 @@
-"""Shared machinery for the test suite: op scripts and differential runs."""
+"""Shared machinery for the test suite: op scripts, differential runs, and
+the one window onto ``PTrie``'s internal leaves and layers."""
 
 from __future__ import annotations
 
@@ -7,6 +8,7 @@ from typing import Any
 
 from prefixpq import ABSENT, PTrie, PTrieConfig
 from prefixpq.oracles import ORACLE_ABSENT, OracleVerdict, StableListPQ
+from prefixpq.ptrie import Layer, LeafNode
 
 _GONE = object()  # common "not there" marker for comparing the two queues
 
@@ -107,3 +109,61 @@ def run_differential(
             f"seed={seed} drain mismatch: {drained[:5]!r} vs {expected[:5]!r}",
         )
     return OracleVerdict(True, len(ops))
+
+
+# ------------------------------------------------------------ trie internals
+# The structural tests and the validate() corruption tests inspect and
+# break the trie through these alone, so a change of layout is mended here.
+
+
+def root(t: PTrie) -> Layer:
+    """The root layer."""
+    return t._root
+
+
+def head(t: PTrie) -> LeafNode | None:
+    """The smallest-key leaf, first in the linked list."""
+    return t._head
+
+
+def leaf(t: PTrie, key: int) -> LeafNode | None:
+    """The leaf storing ``key``, or None.
+
+    It runs the trie's own lookup, so it refreshes ``last_op_stats`` as a
+    ``search`` would.
+    """
+    return t._find(key)
+
+
+def layers(t: PTrie) -> list[Layer]:
+    """Every non-root layer, level by level."""
+    out, frontier = [], [t._root]
+    while frontier:
+        frontier = [s for ly in frontier for s in ly.slots if is_layer(s)]
+        out += frontier
+    return out
+
+
+def is_layer(slot: Any) -> bool:
+    """Whether a slot holds a deeper layer (not a leaf, not empty)."""
+    return type(slot) is Layer
+
+
+def chunk(t: PTrie, key: int, depth: int) -> int:
+    """The slot index ``key`` takes in a layer at ``depth``."""
+    return (key >> t._shifts[depth]) & t._chunk_mask
+
+
+def free_leaves(t: PTrie) -> list[LeafNode]:
+    """The trie's free list of leaves itself, not a copy."""
+    return t._free_leaves
+
+
+def free_layers(t: PTrie) -> list[Layer]:
+    """The trie's free list of layers itself, not a copy."""
+    return t._free_layers
+
+
+def cleared_leaf() -> LeafNode:
+    """A leaf in the state the free list keeps: no payload, no links."""
+    return LeafNode(0, None)

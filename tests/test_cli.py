@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import prefixpq
+from prefixpq import PTrieConfig, bench, sssp
 from prefixpq.cli import main
 from prefixpq.graphs import parse_graph
 from prefixpq.oracles import dijkstra_heap
@@ -189,6 +190,35 @@ class TestBench:
         payload = json.loads(out)
         validate_payload("bench", payload)
         assert payload["agrees_with_heap"] is True
+
+    def test_dijkstra_mode_runs_on_the_given_geometry(self, capsys, monkeypatch):
+        configs = []
+
+        def recording_sssp(g, source, config=None):
+            configs.append(config)
+            return sssp(g, source, config)
+
+        monkeypatch.setattr(bench, "sssp", recording_sssp)
+        args = ("bench", "--mode", "dijkstra", "--vertices", "300", "--arcs",
+                "1500", "--seed", "2", "--json")
+        code, default, _ = run(capsys, *args)
+        assert code == 0
+        for geometry in (["--k", "2"], ["--m", "64", "--k", "8"]):
+            assert run(capsys, *args, *geometry) == (0, default, "")
+        assert configs == [PTrieConfig(32, 4), PTrieConfig(32, 2),
+                           PTrieConfig(64, 8)]
+
+    def test_dijkstra_mode_keys_too_narrow_is_input_error(self, capsys):
+        code, out, err = run(capsys, "bench", "--mode", "dijkstra",
+                             "--vertices", "300", "--arcs", "1500", "--m", "8")
+        assert (code, out) == (2, "")
+        assert "exceeds the 8-bit key range (--m 8)" in err
+
+    def test_scaling_mode_refuses_the_oracle(self, capsys):
+        code, out, err = run(capsys, "bench", "--mode", "scaling", "--sizes",
+                             "500", "--queue", "oracle")
+        assert (code, out) == (1, "")
+        assert "oracle queue has none" in err
 
 
 class TestAnalyze:

@@ -31,7 +31,6 @@ class TestGraphContainer:
             ("C", "A"), ("C", "B"), ("A", "B"),
         ]
         assert g.vertex_count == 3 and g.arc_count == 3
-        assert g.out_degree("C") == 2
 
     def test_duplicate_vertex_rejected(self):
         g = Graph()

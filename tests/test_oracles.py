@@ -14,7 +14,6 @@ from prefixpq.oracles import (
     dijkstra_heap,
     kruskal,
     kruskal_component_weight,
-    stable_pq_replay,
 )
 
 
@@ -64,26 +63,6 @@ class TestStableListPQ:
             pq.insert(k, k)
         assert pq.drain() == [(1, 1), (2, 2), (9, 9), (9, 9)]
         assert len(pq) == 0
-
-    def test_replay_script(self):
-        out = stable_pq_replay(
-            [
-                ("insert", 4, "a"),
-                ("insert", 2, "b"),
-                ("minimum",),
-                ("search", 4),
-                ("delete_min",),
-                ("remove", 4),
-                ("remove", 4),
-                ("len",),
-                ("maximum",),
-            ]
-        )
-        assert out == [(2, "b"), True, (2, "b"), "a", ORACLE_ABSENT, 0, None]
-
-    def test_replay_rejects_unknown_op(self):
-        with pytest.raises(ValueError):
-            stable_pq_replay([("frobnicate",)])
 
 
 class TestDijkstraHeap:

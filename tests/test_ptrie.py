@@ -8,11 +8,23 @@ from collections import deque
 
 import pytest
 
-from helpers import run_differential
-from prefixpq import ABSENT, LeafNode, PTrie, PTrieConfig
+import prefixpq
+from helpers import (
+    chunk,
+    cleared_leaf,
+    free_layers,
+    free_leaves,
+    head,
+    is_layer,
+    layers,
+    leaf,
+    root,
+    run_differential,
+)
+from prefixpq import ABSENT, PTrie, PTrieConfig
 from prefixpq.analysis import count_layers_per_level
 from prefixpq.oracles import StableListPQ
-from prefixpq.ptrie import FREE_LIST_CAP, Layer
+from prefixpq.ptrie import FREE_LIST_CAP
 
 
 def make(word_bits=32, stride_bits=4):
@@ -35,7 +47,7 @@ class TestConfig:
         for k in (0, 255, 17, 17):
             t.insert(k, k)
         assert count_layers_per_level(t) == [1]
-        assert all(type(s) is not Layer for s in t.root.slots if s is not None)
+        assert not any(is_layer(s) for s in root(t).slots)
         assert [k for k, _ in t] == [0, 17, 17, 255]
         assert t.validate().ok
 
@@ -54,6 +66,17 @@ class TestConfig:
         assert t.minimum() == (0, "bottom")
         assert t.maximum() == (big, "top")
         assert t.validate().ok
+
+
+class TestSurface:
+    def test_nodes_stay_internal(self):
+        assert "LeafNode" not in prefixpq.__all__
+        assert "Layer" not in prefixpq.__all__
+        t = make()
+        t.insert(5, "a")
+        for name in ("first_node", "last_node", "find_node",
+                     "root", "head", "tail"):
+            assert not hasattr(t, name), name
 
 
 class TestInsert:
@@ -75,8 +98,7 @@ class TestInsert:
         assert st.index_ops == 0
         assert st.nodes_spliced == 0
         # same leaves, deeper queue
-        node = t.find_node(42)
-        assert list(node.queue) == [1, 2]
+        assert [p for _, p in t] == [1, 2]
         fp_after = t.validate().fingerprint
         assert fp_before != fp_after  # queue depth is part of the shape
 
@@ -86,20 +108,20 @@ class TestInsert:
         t = make(8, 4)
         t.insert(0x10, "x")
         t.insert(0x1F, "y")
-        child = t.root.slots[0x1]
-        assert type(child) is Layer and count_layers_per_level(t) == [1, 1]
+        child = root(t).slots[0x1]
+        assert is_layer(child) and count_layers_per_level(t) == [1, 1]
         assert child.slots[0x0].key == 0x10
         assert child.slots[0xF].key == 0x1F
-        assert t.head.key == 0x10 and t.tail.key == 0x1F
+        assert t.minimum()[0] == 0x10 and t.maximum()[0] == 0x1F
         assert t.validate().ok
 
     def test_deep_prefix_pushdown_to_last_level(self):
         t = make()
         t.insert(0x1234ABCD, 1)
         t.insert(0x1234ABCE, 2)
-        layer, depth = t.root, 1
-        while type(layer.slots[_chunk(t, 0x1234ABCD, depth - 1)]) is Layer:
-            layer = layer.slots[_chunk(t, 0x1234ABCD, depth - 1)]
+        layer, depth = root(t), 1
+        while is_layer(layer.slots[chunk(t, 0x1234ABCD, depth - 1)]):
+            layer = layer.slots[chunk(t, 0x1234ABCD, depth - 1)]
             depth += 1
         assert depth == 8  # both leaves live at the deepest level
         assert layer.slots[0xD].key == 0x1234ABCD
@@ -145,10 +167,6 @@ class TestInsert:
         assert t.remove(5) is ABSENT
 
 
-def _chunk(t, key, depth):
-    return (key >> t._shifts[depth]) & t._chunk_mask
-
-
 class TestRemove:
     def test_remove_absent_returns_sentinel(self):
         t = make()
@@ -171,8 +189,8 @@ class TestRemove:
         t.insert(0x10, "x")
         t.insert(0x1F, "y")
         assert t.remove(0x10) == "x"
-        child = t.root.slots[0x1]
-        assert type(child) is Layer
+        child = root(t).slots[0x1]
+        assert is_layer(child)
         assert child.occupied == 1 << 0xF
         assert t.minimum() == (0x1F, "y")
         assert t.validate().ok
@@ -183,7 +201,7 @@ class TestRemove:
         assert t.remove(123) == "only"
         assert t.count == 0
         assert t.minimum() is None and t.maximum() is None
-        assert t.root.occupied == 0
+        assert root(t).occupied == 0
         assert t.validate().ok
 
     def test_min_max_caches_repair_on_remove(self):
@@ -219,18 +237,23 @@ class TestIteration:
         t = make(16, 4)
         for k in [9, 1, 500, 3, 9]:
             t.insert(k, k)
-        forward = []
-        node = t.first_node()
-        while node is not None:
-            forward.append(node.key)
-            node = node.next
-        backward = []
-        node = t.last_node()
-        while node is not None:
-            backward.append(node.key)
-            node = node.prev
-        assert forward == [1, 3, 9, 500]
-        assert backward == list(reversed(forward))
+        assert list(t.keys()) == [1, 3, 9, 500]
+        assert list(reversed(t)) == [(500, 500), (9, 9), (9, 9), (3, 3), (1, 1)]
+        # the backward walk stays the forward one reversed while keys come,
+        # drain and go, duplicates included
+        for m, k in [(8, 4), (16, 2), (32, 4), (32, 8)]:
+            rng = random.Random(m * 10 + k)
+            t = make(m, k)
+            pool = [rng.getrandbits(m) for _ in range(12)]
+            for i in range(600):
+                r = rng.random()
+                if r < 0.55:
+                    t.insert(rng.choice(pool), i)
+                elif r < 0.75:
+                    t.delete_min()
+                else:
+                    t.remove(rng.choice(pool))
+                assert list(reversed(t)) == list(t)[::-1]
 
     def test_iter_yields_drain_order(self):
         t = make()
@@ -244,8 +267,8 @@ class TestIteration:
     def test_find_node(self):
         t = make()
         t.insert(77, "p")
-        assert t.find_node(77).key == 77
-        assert t.find_node(78) is None
+        assert leaf(t, 77).key == 77
+        assert leaf(t, 78) is None
 
 
 class TestSearch:
@@ -334,7 +357,7 @@ class TestValidate:
     def test_detects_bad_occupancy_mask(self):
         t = make()
         t.insert(10)
-        t.root.occupied = 0
+        root(t).occupied = 0
         rep = t.validate()
         assert not rep.ok
         assert "occupancy mask" in rep.error
@@ -343,7 +366,7 @@ class TestValidate:
         t = make(8, 4)
         t.insert(0x10)
         t.insert(0x1F)
-        t.root.slots[1].min_leaf = t.root.slots[1].max_leaf
+        root(t).slots[1].min_leaf = root(t).slots[1].max_leaf
         rep = t.validate()
         assert not rep.ok
         assert "min_leaf mismatch" in rep.error
@@ -352,7 +375,7 @@ class TestValidate:
         t = make()
         t.insert(1)
         t.insert(2)
-        t.head.next = None  # tail now unreachable from head
+        head(t).next = None  # tail now unreachable from head
         rep = t.validate()
         assert not rep.ok
 
@@ -368,7 +391,7 @@ class TestValidate:
         t = make(8, 4)
         t.insert(0x10)
         t.insert(0x1F)  # pushes 0x10 one level down
-        t.find_node(0x10).depth = 0
+        leaf(t, 0x10).depth = 0
         rep = t.validate()
         assert not rep.ok
         assert "records depth 0, filed at depth 1" in rep.error
@@ -376,7 +399,7 @@ class TestValidate:
     def test_detects_empty_overflow_deque(self):
         t = make()
         t.insert(4, "a")
-        t.find_node(4).rest = deque()
+        leaf(t, 4).rest = deque()
         rep = t.validate()
         assert not rep.ok
         assert "empty overflow deque" in rep.error
@@ -402,20 +425,20 @@ class TestValidate:
             t.insert(key, key)
         t.remove(0x1F)  # its layer still holds 0x10
         t.remove(0x10)  # the leaf and the layer under root slot 1 go free
-        assert (len(t._free_leaves), len(t._free_layers)) == (2, 1)
+        assert (len(free_leaves(t)), len(free_layers(t))) == (2, 1)
         assert t.validate().ok
         return t
 
     def test_detects_dirty_free_leaf(self):
         t = self._with_free_objects()
-        t._free_leaves[0].first = "stale"
+        free_leaves(t)[0].first = "stale"
         rep = t.validate()
         assert not rep.ok
         assert "free leaf not cleared" in rep.error
 
     def test_detects_dirty_free_layer(self):
         t = self._with_free_objects()
-        t._free_layers[0].occupied = 1
+        free_layers(t)[0].occupied = 1
         rep = t.validate()
         assert not rep.ok
         assert "free layer not cleared" in rep.error
@@ -423,17 +446,17 @@ class TestValidate:
     def test_detects_live_or_doubled_free_objects(self):
         t = make()
         t.insert(5)  # no payload and no neighbors: looks cleared
-        t._free_leaves.append(t.find_node(5))
+        free_leaves(t).append(leaf(t, 5))
         rep = t.validate()
         assert not rep.ok
         assert "free LeafNode reachable from the root" in rep.error
-        dup = LeafNode(1, None)
-        t._free_leaves[:] = [dup, dup]
+        dup = cleared_leaf()
+        free_leaves(t)[:] = [dup, dup]
         assert "twice" in t.validate().error
 
     def test_detects_free_list_over_cap(self):
         t = make()
-        t._free_leaves.extend(LeafNode(0, None) for _ in range(FREE_LIST_CAP + 1))
+        free_leaves(t).extend(cleared_leaf() for _ in range(FREE_LIST_CAP + 1))
         rep = t.validate()
         assert not rep.ok
         assert f"cap is {FREE_LIST_CAP}" in rep.error
@@ -441,38 +464,31 @@ class TestValidate:
 
 class TestLeafNode:
     def test_constructs_at_depth_zero(self):
-        leaf = LeafNode(9, "p")
-        assert (leaf.key, leaf.first, leaf.rest, leaf.depth) == (9, "p", None, 0)
-        assert leaf.queue == ("p",)
+        t = make()
+        t.insert(9, "p")
+        node = leaf(t, 9)
+        assert (node.key, node.first, node.rest, node.depth) == (9, "p", None, 0)
 
     def test_overflow_deque_only_while_duplicated(self):
         t = make()
         t.insert(4, "a")
-        node = t.find_node(4)
+        node = leaf(t, 4)
         assert node.rest is None
         t.insert(4, "b")
         t.insert(4, "c")
-        assert node.queue == ("a", "b", "c")
+        assert list(t) == [(4, "a"), (4, "b"), (4, "c")]
         assert t.delete_min() == (4, "a")
         assert t.remove(4) == "b"
-        assert node.rest is None and node.queue == ("c",)
+        assert node.rest is None and list(t) == [(4, "c")]
         assert t.validate().ok
-
-    def test_queue_is_a_snapshot(self):
-        t = make()
-        t.insert(4, "a")
-        t.insert(4, "b")
-        snap = t.find_node(4).queue
-        t.insert(4, "c")
-        assert snap == ("a", "b")
 
     def test_depth_tracks_pushdown(self):
         t = make()
         t.insert(0x1234ABCD)
-        assert t.find_node(0x1234ABCD).depth == 0
+        assert leaf(t, 0x1234ABCD).depth == 0
         t.insert(0x1234ABCE)  # shares seven chunks: both end at depth 7
-        assert t.find_node(0x1234ABCD).depth == 7
-        assert t.find_node(0x1234ABCE).depth == 7
+        assert leaf(t, 0x1234ABCD).depth == 7
+        assert leaf(t, 0x1234ABCE).depth == 7
 
     @pytest.mark.parametrize("payload", [None, (), (1, 2), deque(), deque([1])])
     def test_container_payloads_round_trip(self, payload):
@@ -488,22 +504,13 @@ class TestLeafNode:
         assert t.delete_min() == (3, "z")
         t.insert(5, payload)
         assert t.minimum()[1] is payload and t.maximum()[1] is payload
-        assert t.find_node(5).queue == (payload,)
+        assert list(t) == [(5, payload)]
         assert t.delete_min()[1] is payload
         assert t.count == 0 and t.validate().ok
 
 
 class _Payload:
     """A payload that can be weakly referenced."""
-
-
-def _layers(t):
-    """Every non-root layer, level by level."""
-    out, frontier = [], [t.root]
-    while frontier:
-        frontier = [s for ly in frontier for s in ly.slots if type(s) is Layer]
-        out += frontier
-    return out
 
 
 class TestRecycling:
@@ -526,7 +533,7 @@ class TestRecycling:
         assert r() is None
         while t:
             t.delete_min()
-        assert t._free_leaves and not any(r() for r in refs)
+        assert free_leaves(t) and not any(r() for r in refs)
         assert t.validate().ok
 
     def test_emptied_leaves_and_layers_are_refiled(self):
@@ -535,8 +542,8 @@ class TestRecycling:
         first = rng.sample(range(1 << 16), 200)
         for key in first:
             t.insert(key)
-        leaves = [t.find_node(key) for key in first]
-        layers = _layers(t)
+        leaves = [leaf(t, key) for key in first]
+        old_layers = layers(t)
         for key in first[:100]:
             t.remove(key)
         while t:
@@ -545,9 +552,9 @@ class TestRecycling:
         for key in second:
             t.insert(key)
         # the test holds every old object, so no id can be reused
-        assert {id(t.find_node(key)) for key in second} == {id(x) for x in leaves}
-        shared = {id(x) for x in _layers(t)} & {id(x) for x in layers}
-        assert len(shared) == min(len(layers), len(_layers(t))) > 0
+        assert {id(leaf(t, key)) for key in second} == {id(x) for x in leaves}
+        shared = {id(x) for x in layers(t)} & {id(x) for x in old_layers}
+        assert len(shared) == min(len(old_layers), len(layers(t))) > 0
         assert t.validate().ok
 
     @pytest.mark.parametrize("m,k", [(8, 4), (16, 2), (32, 4), (32, 8)])
@@ -559,15 +566,15 @@ class TestRecycling:
         seq = 0
         for n in (300, 1500, 40, 2500):
             keys = [rng.getrandbits(m) for _ in range(n)]
-            spare = len(t._free_leaves)
+            spare = len(free_leaves(t))
             for key in keys:
                 t.insert(key, seq)
                 twin.insert(key, seq)
                 ref.insert(key, seq)
                 seq += 1
                 assert _op_triple(t) == _op_triple(twin)
-                twin._free_leaves.clear()
-                twin._free_layers.clear()
+                free_leaves(twin).clear()
+                free_layers(twin).clear()
             assert t.validate().fingerprint == twin.validate().fingerprint
             while t:
                 if rng.random() < 0.5:
@@ -581,17 +588,17 @@ class TestRecycling:
                         got = want = None
                 assert got == want
                 assert _op_triple(t) == _op_triple(twin)
-                twin._free_leaves.clear()
-                twin._free_layers.clear()
+                free_leaves(twin).clear()
+                free_layers(twin).clear()
             assert len(ref) == 0
             rep = t.validate()
             assert rep.ok and rep.fingerprint == twin.validate().fingerprint
             # the refill took spare leaves first; the drain freed one per key
             distinct = len(set(keys))
-            assert len(t._free_leaves) == min(FREE_LIST_CAP, max(spare, distinct))
-            assert len(t._free_layers) <= FREE_LIST_CAP
+            assert len(free_leaves(t)) == min(FREE_LIST_CAP, max(spare, distinct))
+            assert len(free_layers(t)) <= FREE_LIST_CAP
         if m > 8:
-            assert len(t._free_leaves) == FREE_LIST_CAP
+            assert len(free_leaves(t)) == FREE_LIST_CAP
 
 
 def _op_triple(t):
@@ -665,13 +672,13 @@ def _cost_model_digest(n_ops=3000):
 class TestCostModel:
     def test_script_digest_and_find_node_stats(self):
         assert _cost_model_digest() == _COST_MODEL_DIGEST
-        # find_node is the lookup that search and remove run, and it
-        # reports its own descent
+        # search runs the lookup descent that remove shares, and reports
+        # that descent alone
         t = make(8, 4)
         for key in (0x10, 0x1F, 0xA0):
             t.insert(key)
         st = t.last_op_stats
-        for key, layers in [(0x10, 2), (0x1E, 2), (0xA0, 1), (0x50, 1)]:
+        for key, visited in [(0x10, 2), (0x1E, 2), (0xA0, 1), (0x50, 1)]:
             st.layers_visited = st.index_ops = -1
-            t.find_node(key)
-            assert (st.layers_visited, st.index_ops) == (layers, 0)
+            t.search(key)
+            assert (st.layers_visited, st.index_ops) == (visited, 0)

@@ -75,23 +75,33 @@ def test_structure_validates_while_draining(keys, seed):
 
 
 @settings(max_examples=50, deadline=None)
-@given(st.lists(_key32, max_size=150))
-def test_forward_and_backward_walks_agree(keys):
-    t = PTrie()
-    for k in keys:
-        t.insert(k)
-    forward = []
-    node = t.first_node()
-    while node is not None:
-        forward.append(node.key)
-        node = node.next
-    backward = []
-    node = t.last_node()
-    while node is not None:
-        backward.append(node.key)
-        node = node.prev
-    assert forward == sorted(set(keys))
-    assert backward == list(reversed(forward))
+@given(st.sampled_from([(8, 4), (16, 2), (32, 4), (32, 8)]),
+       st.lists(st.integers(min_value=0, max_value=2**64 - 1),
+                min_size=8, max_size=8),
+       st.lists(st.tuples(st.sampled_from(("insert", "insert", "delete_min",
+                                           "remove")),
+                          st.integers(min_value=0, max_value=7)),
+                max_size=150))
+@example((16, 2), [(i * 0x9E3779B97F4A7C15) % 2**64 for i in range(8)],
+         [("insert", 0)] * 4 + [("insert", 5)] * 3
+         + [("remove", 0), ("delete_min", 0), ("insert", 0), ("insert", 5)])
+def test_forward_and_backward_walks_agree(geometry, spread, ops):
+    m, k = geometry
+    keys = [x >> (64 - m) for x in spread]
+    t, ref = PTrie(PTrieConfig(m, k)), StableListPQ()
+    for i, (kind, ix) in enumerate(ops):
+        if kind == "insert":
+            t.insert(keys[ix], i)
+            ref.insert(keys[ix], i)
+        elif kind == "delete_min":
+            assert t.delete_min() == ref.delete_min()
+        else:
+            t.remove(keys[ix])
+            ref.remove(keys[ix])
+        assert list(reversed(t)) == list(t)[::-1]
+    forward = list(t)
+    assert list(t.keys()) == sorted({key for key, _ in forward})
+    assert forward == ref.drain()
 
 
 @settings(max_examples=50, deadline=None)
