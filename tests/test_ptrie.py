@@ -235,10 +235,10 @@ class TestRemove:
 class TestIteration:
     def test_node_walk_both_directions(self):
         t = make(16, 4)
-        for k in [9, 1, 500, 3, 9]:
-            t.insert(k, k)
+        for i, k in enumerate([9, 1, 500, 3, 9]):
+            t.insert(k, i)
         assert list(t.keys()) == [1, 3, 9, 500]
-        assert list(reversed(t)) == [(500, 500), (9, 9), (9, 9), (3, 3), (1, 1)]
+        assert list(reversed(t)) == [(500, 2), (9, 4), (9, 0), (3, 3), (1, 1)]
         # the backward walk stays the forward one reversed while keys come,
         # drain and go, duplicates included
         for m, k in [(8, 4), (16, 2), (32, 4), (32, 8)]:
